@@ -3,8 +3,8 @@
 Three ablations of AMbER itself, all on the YAGO-like dataset with the
 complex workload (the hardest combination for an un-pruned search):
 
-* **synopsis index (Lemma 1)** — initial candidates from the R-tree of
-  synopses versus a full vertex scan,
+* **synopsis index (Lemma 1)** — initial candidates from the dominance
+  mask over the synopsis matrix versus a full vertex scan,
 * **core/satellite decomposition (Lemma 2)** — satellites resolved in bulk
   versus treating every query vertex as a core vertex,
 * **vertex ordering (Section 5.3)** — the (r1, r2) heuristic versus a random

@@ -2,7 +2,7 @@
 
 These are conventional pytest-benchmark timings (multiple rounds) of the
 individual index structures, complementing the end-to-end Table 5 run:
-multigraph construction, synopsis/R-tree build, OTIL build and the two hot
+multigraph construction, synopsis matrix build, OTIL build and the two hot
 index probes used during matching.
 """
 
@@ -35,7 +35,7 @@ def test_micro_multigraph_build(benchmark, yago_store):
 
 
 def test_micro_signature_index_build(benchmark, yago_data):
-    """Synopsis computation + R-tree bulk load for every vertex."""
+    """Synopsis computation into the dense synopsis matrix for every vertex."""
     index = benchmark(lambda: SignatureIndex(yago_data.graph))
     assert len(index) == yago_data.graph.vertex_count()
 
@@ -53,7 +53,7 @@ def test_micro_attribute_index_build(benchmark, yago_data):
 
 
 def test_micro_signature_probe(benchmark, yago_data):
-    """Initial-candidate retrieval from the synopsis R-tree (hot online path)."""
+    """Initial-candidate retrieval from the synopsis matrix (hot online path)."""
     index = SignatureIndex(yago_data.graph)
     edge_types = sorted(yago_data.graph.distinct_edge_types())[:2]
     query = ([frozenset({edge_types[0]})], [frozenset({edge_types[-1]})])

@@ -29,7 +29,6 @@ from time import perf_counter
 import pytest
 
 from repro import AmberEngine
-from repro.amber.backend import HAS_NUMPY
 from repro.bench import build_dataset, format_table
 from repro.datasets.workload import WorkloadGenerator
 from repro.server import EngineService, ServiceConfig
@@ -136,7 +135,7 @@ def profile_setup(bench_scale):
         for shape, size in (("star", 10), ("star", 20), ("complex", 10))
         for item in generator.workload(shape, size, bench_scale.queries_per_size)
     ]
-    backends = ("scalar", "vectorized") if HAS_NUMPY else ("scalar",)
+    backends = ("scalar", "vectorized")
     services: list[EngineService] = []
 
     def make_service(engine: AmberEngine, **config) -> EngineService:

@@ -102,8 +102,7 @@ def main() -> None:
     assert indexes.report is not None
     print(f"  attribute index: {indexes.attributes.attribute_count()} attributes, "
           f"{indexes.attributes.memory_items()} postings")
-    print(f"  signature index: {len(indexes.signatures)} synopses in an R-tree of height "
-          f"{indexes.signatures.rtree_height()}")
+    print(f"  signature index: {len(indexes.signatures)} synopses, one matrix row each")
     print(f"  neighbourhood index: {len(indexes.neighborhoods)} OTIL pairs, "
           f"{indexes.neighborhoods.memory_items()} trie nodes")
 

@@ -5,33 +5,27 @@ candidates / star-match / verify protocol plus ``match_component``
 (see :class:`~repro.amber.matching.MultigraphMatcher`, whose public
 surface *is* the protocol).  Two implementations ship:
 
-* ``scalar`` — the original pure-Python set-based matcher; always
-  available, no dependencies.
+* ``scalar`` — the original pure-Python set-based matcher, kept as the
+  tests' row-order oracle.
 * ``vectorized`` — columnar numpy postings with batched intersection and
   breadth-first frontier expansion
-  (:class:`~repro.amber.vectorized.VectorizedMatcher`); requires numpy,
-  installable as the ``repro[fast]`` extra.
+  (:class:`~repro.amber.vectorized.VectorizedMatcher`); the default.
 
-Engines select a backend by name (``AmberEngine(backend="vectorized")``,
-``--match-backend`` on the server CLI) or leave the default ``"auto"``,
-which picks ``vectorized`` whenever numpy imports and falls back to
-``scalar`` otherwise — so the seed test suite never needs numpy, and a
-missing extra degrades to the identical-answer scalar core instead of an
-error.  Only an *explicit* ``"vectorized"`` request without numpy raises,
-with a message naming the extra to install.
+Engines select a backend by name (``AmberEngine(backend="scalar")``,
+``--match-backend`` on the server CLI); ``None`` means ``vectorized``.
+Both return identical row sequences.
 """
 
 from __future__ import annotations
 
 from typing import ClassVar, Protocol, runtime_checkable
 
-from ..index.columnar import HAS_NUMPY, NUMPY_HINT
 from ..index.manager import IndexSet
 from ..multigraph.builder import DataMultigraph
 from .matching import MatcherConfig, MultigraphMatcher
+from .vectorized import VectorizedMatcher
 
 __all__ = [
-    "HAS_NUMPY",
     "MatchBackend",
     "ScalarBackend",
     "VectorizedBackend",
@@ -46,17 +40,13 @@ class MatchBackend(Protocol):
     """Anything that can build a matcher for an engine.
 
     ``name`` identifies the backend in ``/stats``, ``/metrics`` labels and
-    ``EXPLAIN`` plan outlines.  ``available()`` reports whether the
-    backend's dependencies are importable; :meth:`matcher` returns the
-    matching core — any object honouring the
+    ``EXPLAIN`` plan outlines.  :meth:`matcher` returns the matching core
+    — any object honouring the
     :class:`~repro.amber.matching.MultigraphMatcher` protocol
     (``match_component`` plus candidates / star-match / verify).
     """
 
     name: str
-
-    def available(self) -> bool:  # pragma: no cover - protocol
-        ...
 
     def matcher(
         self, data: DataMultigraph, indexes: IndexSet, config: MatcherConfig
@@ -69,9 +59,6 @@ class ScalarBackend:
 
     name: ClassVar[str] = "scalar"
 
-    def available(self) -> bool:
-        return True
-
     def matcher(
         self, data: DataMultigraph, indexes: IndexSet, config: MatcherConfig
     ) -> MultigraphMatcher:
@@ -83,14 +70,9 @@ class VectorizedBackend:
 
     name: ClassVar[str] = "vectorized"
 
-    def available(self) -> bool:
-        return HAS_NUMPY
-
     def matcher(
         self, data: DataMultigraph, indexes: IndexSet, config: MatcherConfig
     ) -> MultigraphMatcher:
-        from .vectorized import VectorizedMatcher
-
         return VectorizedMatcher(data, indexes, config)
 
 
@@ -100,29 +82,19 @@ BACKENDS: dict[str, MatchBackend] = {
 }
 
 #: Accepted values for engine/CLI backend selection.
-BACKEND_CHOICES = ("auto", ScalarBackend.name, VectorizedBackend.name)
+BACKEND_CHOICES = (ScalarBackend.name, VectorizedBackend.name)
 
 
-def resolve_backend(choice: "str | MatchBackend | None" = "auto") -> MatchBackend:
+def resolve_backend(choice: "str | MatchBackend | None" = None) -> MatchBackend:
     """Resolve a backend name (or pass an instance through) to a backend.
 
-    ``"auto"`` (and None) prefer ``vectorized`` when numpy is importable
-    and silently fall back to ``scalar``; asking for ``"vectorized"``
-    explicitly without numpy raises ImportError with the install hint.
+    None selects ``vectorized``; an unknown name raises ValueError.
     """
     if choice is None:
-        choice = "auto"
+        choice = VectorizedBackend.name
     if not isinstance(choice, str):
         return choice
-    if choice == "auto":
-        vectorized = BACKENDS[VectorizedBackend.name]
-        return vectorized if vectorized.available() else BACKENDS[ScalarBackend.name]
     backend = BACKENDS.get(choice)
     if backend is None:
         raise ValueError(f"unknown match backend {choice!r} (expected one of {BACKEND_CHOICES})")
-    if not backend.available():
-        raise ImportError(
-            f"match backend {choice!r} requires numpy — {NUMPY_HINT}; "
-            f"or select backend='scalar' / 'auto' for the pure-Python core"
-        )
     return backend

@@ -18,7 +18,7 @@ from ..sparql.bindings import Binding
 from ..timing import Deadline
 from .matching import ComponentSolution
 
-if TYPE_CHECKING:  # pragma: no cover - avoids a runtime dependency on numpy
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .vectorized import ColumnarSolutions
 
 __all__ = [

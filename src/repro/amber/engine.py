@@ -760,8 +760,8 @@ class AmberEngine(QueryEngineBase):
         self.indexes = indexes
         self.build_report = build_report
         # Resolved before the config assignment: the config setter rebuilds
-        # the shared matcher through the backend.  None/"auto" picks the
-        # vectorized core when numpy is importable, scalar otherwise.
+        # the shared matcher through the backend.  None picks the vectorized
+        # core.
         self._backend = resolve_backend(backend)
         self.config = config or MatcherConfig()
         #: Optional plan cache consulted by :meth:`prepare` for string queries.
@@ -815,7 +815,6 @@ class AmberEngine(QueryEngineBase):
         cls,
         triples: Iterable[Triple],
         config: MatcherConfig | None = None,
-        rtree_fanout: int = 16,
         backend: str | MatchBackend | None = None,
     ) -> "AmberEngine":
         """Build the engine (multigraph + indexes) from an iterable of triples."""
@@ -824,7 +823,7 @@ class AmberEngine(QueryEngineBase):
         database_seconds = monotonic() - start
 
         start = monotonic()
-        indexes = IndexSet.build(data, rtree_fanout=rtree_fanout)
+        indexes = IndexSet.build(data)
         index_seconds = monotonic() - start
 
         stats = data.statistics()

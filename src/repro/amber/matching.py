@@ -43,7 +43,7 @@ class MatcherConfig:
     """Tuning knobs, mainly used by the ablation benchmarks.
 
     * ``use_signature_index`` — when False the initial candidates come from a
-      full vertex scan instead of the synopsis R-tree (ablation of Lemma 1).
+      full vertex scan instead of the synopsis index (ablation of Lemma 1).
     * ``use_satellite_decomposition`` — when False every query vertex is
       treated as a core vertex (ablation of Lemma 2).
     * ``ordering`` — ``"heuristic"`` (r1/r2 ranking) or ``"random"``.
@@ -271,8 +271,8 @@ class MultigraphMatcher:
         """Signature-index candidates for ``vertex`` (Lemma 1 pruning).
 
         ``within`` restricts the search to a known superset (a semi-join
-        frontier): each member's stored synopsis is checked directly,
-        skipping the R-tree traversal over the whole shard.
+        frontier): only the members' synopsis rows are checked, not the
+        whole index.
         """
         if within is not None and self.config.use_signature_index:
             incoming, outgoing = self._query_signature(qgraph, vertex)

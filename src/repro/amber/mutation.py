@@ -11,8 +11,8 @@ tests).
 
 Maintenance cost per triple is local: an edge change refreshes the OTIL
 pair and synopsis of its two endpoints only; an attribute change touches
-one inverted list.  The signature R-tree absorbs churn through a stale
-overlay that is re-packed once it grows past a small fraction of the index
+one inverted list.  The signature index overwrites the synopsis row of each
+refreshed vertex in place and appends rows for new vertices
 (see :class:`~repro.index.signature_index.SignatureIndex`).
 
 Thread safety: the mutator (like the engine) performs no locking of its
@@ -195,7 +195,6 @@ class GraphMutator:
                 touched.update(delta.touched_vertices())
         for vertex in touched:
             self.indexes.refresh_vertex(graph, vertex)
-        self.indexes.compact()
         return count
 
     # ------------------------------------------------------------------ #

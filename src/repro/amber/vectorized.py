@@ -26,13 +26,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..index.columnar import (
-    HAS_NUMPY,
-    as_sorted_array,
-    in_sorted,
-    intersect_sorted,
-    np,
-)
+import numpy as np
+
+from ..index.columnar import as_sorted_array, in_sorted, intersect_sorted
 from ..multigraph.query_graph import INCOMING, OUTGOING, QueryMultigraph, QueryVertex
 from ..telemetry.accounting import current_profile
 from ..telemetry.trace import span
@@ -111,10 +107,10 @@ class VectorizedMatcher(MultigraphMatcher):
     """Drop-in matcher that batches the hot path through numpy.
 
     Inherits the full scalar implementation: the recursion is used as the
-    fallback (no numpy at call time, or a small ``max_solutions`` where
-    DFS short-circuiting beats full enumeration), and the candidates /
-    star-match / verify protocol methods are re-pointed at the columnar
-    posting arrays.
+    fallback (a frontier over the memory budget, or a small
+    ``max_solutions`` where DFS short-circuiting beats full enumeration),
+    and the candidates / star-match / verify protocol methods are
+    re-pointed at the columnar posting arrays.
     """
 
     # ------------------------------------------------------------------ #
@@ -156,15 +152,15 @@ class VectorizedMatcher(MultigraphMatcher):
         self, qgraph: QueryMultigraph, component: set[int], deadline: Deadline | None = None
     ) -> Iterator[ComponentSolution]:
         limit = self.config.max_solutions
-        if not HAS_NUMPY or (limit is not None and limit <= SMALL_LIMIT_CUTOFF):
+        if limit is not None and limit <= SMALL_LIMIT_CUTOFF:
             yield from super().match_component(qgraph, component, deadline)
             return
         if deadline is None:
             deadline = Deadline(self.config.timeout_seconds)
         batch = self.match_component_columnar(qgraph, component, deadline)
         if batch is None:
-            # Over budget (or no numpy): stream through the scalar DFS,
-            # continuing under the same deadline.
+            # Over budget: stream through the scalar DFS, continuing under
+            # the same deadline.
             yield from super().match_component(qgraph, component, deadline)
             return
         profile = current_profile()
@@ -175,19 +171,16 @@ class VectorizedMatcher(MultigraphMatcher):
     def match_component_columnar(
         self, qgraph: QueryMultigraph, component: set[int], deadline: Deadline | None = None
     ) -> ColumnarSolutions | None:
-        """Solve one component breadth first; None when numpy is missing.
+        """Solve one component breadth first; None when over the memory budget.
 
         The returned batch is fully enumerated (the deadline covers the
         enumeration); expansion into embeddings is the caller's business
         and can happen lazily, after the time budget.
 
-        Also returns None when the frontier would exceed the memory budget
-        (:data:`MAX_EXPANSION` / :data:`MAX_STATE_CELLS`) — such queries go
-        back to the scalar DFS, which streams under the deadline instead of
-        materialising the whole frontier.
+        The budget is :data:`MAX_EXPANSION` / :data:`MAX_STATE_CELLS`; such
+        queries go back to the scalar DFS, which streams under the deadline
+        instead of materialising the whole frontier.
         """
-        if not HAS_NUMPY:
-            return None
         if deadline is None:
             deadline = Deadline(self.config.timeout_seconds)
         try:

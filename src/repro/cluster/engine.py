@@ -214,7 +214,6 @@ class ShardedEngine(QueryEngineBase):
         workers: int | None = None,
         executor: str = "thread",
         hub_threshold: int | None = None,
-        rtree_fanout: int = 16,
         backend=None,
     ) -> "ShardedEngine":
         """Partition ``data`` and build one indexed engine per shard."""
@@ -226,7 +225,7 @@ class ShardedEngine(QueryEngineBase):
         engines = [
             AmberEngine(
                 shard,
-                IndexSet.build(shard, rtree_fanout=rtree_fanout),
+                IndexSet.build(shard),
                 config=config,
                 backend=backend,
             )
@@ -642,14 +641,9 @@ class ShardedEngine(QueryEngineBase):
                     "edges": graph.multi_edge_count(),
                     "triples": engine.data.triple_count,
                     "data_version": engine.data_version,
-                    "signature_stale": engine.indexes.signatures.stale_count,
                 }
             )
         return stats
-
-    def signature_stale_total(self) -> int:
-        """Total stale signature-overlay entries across shards (for /stats)."""
-        return sum(engine.indexes.signatures.stale_count for engine in self.shards)
 
     def __repr__(self) -> str:
         stats = self.statistics()
@@ -764,7 +758,7 @@ def _init_worker(
     shards: list[DataMultigraph],
     owner: dict[int, int],
     config: MatcherConfig,
-    backend: str = "auto",
+    backend: str | None = None,
 ):
     """Process-pool initializer: receive the shard payload once per worker."""
     _WORKER_STATE["shards"] = shards
@@ -784,7 +778,7 @@ def _worker_engine(shard: int) -> AmberEngine:
             data,
             IndexSet.build(data),
             config=_WORKER_STATE["config"],
-            backend=_WORKER_STATE.get("backend", "auto"),
+            backend=_WORKER_STATE.get("backend"),
         )
         engines[shard] = engine
     return engine

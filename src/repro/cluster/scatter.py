@@ -224,7 +224,7 @@ def _order_stars(
     restricting frontier — and among those, a star whose *root* is
     already bound is preferred outright: its scatter verifies the owned
     frontier members directly (work that partitions across shards)
-    instead of running a signature R-tree scan on every shard.
+    instead of masking every shard's whole synopsis matrix.
     """
 
     def rank(star: StarQuery):
@@ -285,7 +285,7 @@ def match_star(
         # A root frontier is a known superset of every viable anchor, so
         # the signature check runs over its owned members only — each
         # member is owned by exactly one shard, so the work partitions
-        # across the cluster instead of an R-tree traversal per shard.
+        # across the cluster instead of a whole-matrix mask per shard.
         owned = {c for c in root_restrict if owner.get(c) == shard}
         candidates = matcher.initial_candidates(qgraph, star.root, within=owned)
     else:

@@ -3,7 +3,6 @@
 from .attribute_index import AttributeIndex
 from .manager import IndexBuildReport, IndexSet, build_indexes
 from .neighborhood import NeighborhoodIndex, Otil, OtilNode
-from .rtree import RTree, RTreeNode
 from .signature_index import SignatureIndex
 from .synopsis import (
     SYNOPSIS_FIELDS,
@@ -21,8 +20,6 @@ __all__ = [
     "NeighborhoodIndex",
     "Otil",
     "OtilNode",
-    "RTree",
-    "RTreeNode",
     "IndexSet",
     "IndexBuildReport",
     "build_indexes",

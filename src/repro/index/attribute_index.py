@@ -9,7 +9,7 @@ in ``u.A``.
 from __future__ import annotations
 
 from ..multigraph.graph import Multigraph
-from .columnar import as_sorted_array, intersect_sorted, require_numpy
+from .columnar import as_sorted_array, intersect_sorted
 
 __all__ = ["AttributeIndex"]
 
@@ -82,9 +82,8 @@ class AttributeIndex:
 
         Arrays are memoised per attribute and invalidated by :meth:`add` /
         :meth:`remove`, so under SPARQL UPDATE they stay byte-identical to a
-        rebuild.  Requires numpy (the ``repro[fast]`` extra).
+        rebuild.
         """
-        require_numpy("AttributeIndex.posting_array")
         array = self._arrays.get(attribute)
         if array is None:
             array = as_sorted_array(self._postings.get(attribute, ()))

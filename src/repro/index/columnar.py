@@ -4,9 +4,6 @@ The scalar matcher works on Python sets; the vectorized backend works on
 **sorted int64 posting arrays** and batch set algebra (`np.intersect1d`,
 `searchsorted` membership).  This module holds the shared numpy plumbing:
 
-* the optional-dependency guard (`HAS_NUMPY` / :func:`require_numpy`) —
-  numpy is an extra (``pip install repro[fast]``), never a hard
-  dependency of the scalar engine or the seed test suite;
 * sorted-array helpers (:func:`as_sorted_array`, :func:`intersect_sorted`,
   :func:`in_sorted`);
 * :class:`ColumnarEdges` — lazily built CSR adjacency per
@@ -21,41 +18,20 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from ..multigraph.graph import Multigraph
 from ..multigraph.query_graph import INCOMING, OUTGOING
 
-try:  # pragma: no cover - trivially covered by whichever env runs
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None
-    HAS_NUMPY = False
-
 __all__ = [
-    "HAS_NUMPY",
-    "require_numpy",
     "as_sorted_array",
     "intersect_sorted",
     "in_sorted",
     "ColumnarEdges",
 ]
 
-#: How callers are told to get numpy; kept in one place so every surface
-#: (backend resolution, index accessors) reports the same remedy.
-NUMPY_HINT = "numpy is not installed; install the fast extra: pip install repro[fast]"
-
-
-def require_numpy(feature: str = "the vectorized match backend"):
-    """Return the numpy module or raise a clean ImportError naming the extra."""
-    if np is None:
-        raise ImportError(f"{feature} requires numpy — {NUMPY_HINT}")
-    return np
-
-
 def as_sorted_array(values: Iterable[int]):
     """Return ``values`` (unique ints) as a sorted int64 posting array."""
-    require_numpy()
     array = np.fromiter(values, dtype=np.int64)
     array.sort()
     return array
@@ -114,7 +90,6 @@ class ColumnarEdges:
         Built lazily from the live adjacency and memoised until
         :meth:`invalidate`; an unknown edge type yields empty arrays.
         """
-        require_numpy()
         key = (edge_type, direction)
         cached = self._csr.get(key)
         if cached is not None:

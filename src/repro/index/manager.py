@@ -55,7 +55,7 @@ class IndexSet:
         self.columnar = ColumnarEdges()
 
     @classmethod
-    def build(cls, data: DataMultigraph, rtree_fanout: int = 16) -> "IndexSet":
+    def build(cls, data: DataMultigraph) -> "IndexSet":
         """Build ``A``, ``S`` and ``N`` from the data multigraph, timing each."""
         graph = data.graph
 
@@ -64,7 +64,7 @@ class IndexSet:
         attribute_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        signatures = SignatureIndex(graph, fanout=rtree_fanout)
+        signatures = SignatureIndex(graph)
         signature_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -101,11 +101,7 @@ class IndexSet:
         # vectorized backend always matches a from-scratch build.
         self.columnar.invalidate()
 
-    def compact(self) -> bool:
-        """Give the signature index a chance to re-pack its R-tree."""
-        return self.signatures.compact_if_needed()
 
-
-def build_indexes(data: DataMultigraph, rtree_fanout: int = 16) -> IndexSet:
+def build_indexes(data: DataMultigraph) -> IndexSet:
     """Convenience wrapper mirroring the paper's notation ``I := {A, S, N}``."""
-    return IndexSet.build(data, rtree_fanout=rtree_fanout)
+    return IndexSet.build(data)

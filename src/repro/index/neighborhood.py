@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ..multigraph.graph import Multigraph
 from ..multigraph.query_graph import INCOMING, OUTGOING
-from .columnar import as_sorted_array, require_numpy
+from .columnar import as_sorted_array
 
 __all__ = ["OtilNode", "Otil", "NeighborhoodIndex"]
 
@@ -86,9 +86,8 @@ class Otil:
 
         The columnar face of the flat inverted list: batch candidate
         intersection runs ``np.intersect1d`` over these instead of Python
-        set algebra.  Requires numpy (the ``repro[fast]`` extra).
+        set algebra.
         """
-        require_numpy("Otil.posting_array")
         array = self._arrays.get(edge_type)
         if array is None:
             array = as_sorted_array(self._postings.get(edge_type, ()))

@@ -1,83 +1,65 @@
 """Vertex signature index ``S`` (Section 4.2).
 
-The index stores one synopsis per data vertex inside an R-tree and answers
-"give me every data vertex whose synopsis dominates this query synopsis"
-— Lemma 1 guarantees this candidate set is a superset of the true matches.
+The index stores one synopsis per data vertex and answers "give me every
+data vertex whose synopsis dominates this query synopsis" — Lemma 1
+guarantees this candidate set is a superset of the true matches.  The
+synopses live in one dense ``(rows, 8)`` matrix, so a probe is a single
+vectorized dominance mask over every row.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..multigraph.graph import Multigraph
-from .rtree import RTree
 from .synopsis import SYNOPSIS_FIELDS, data_synopsis, dominates, query_synopsis, signature_of
 
 __all__ = ["SignatureIndex"]
 
 
 class SignatureIndex:
-    """R-tree backed index over per-vertex synopses.
+    """Dense synopsis matrix: one float64 row of 8 fields per data vertex.
 
-    The synopsis table ``_synopses`` is always exact.  Dynamic updates mark
-    the affected vertices *stale* instead of touching the bulk-loaded
-    R-tree: a stale vertex's R-tree entry is ignored by :meth:`candidates`
-    and the vertex is checked against its current synopsis directly.  When
-    the stale overlay grows past a fraction of the index the R-tree is
-    re-packed (:meth:`compact_if_needed`), keeping lookups near bulk-loaded
-    performance under sustained writes.
+    ``_rows`` maps a vertex to its row and ``_vertices`` maps a row back to
+    its vertex.  Dynamic updates overwrite the vertex's row in place; a new
+    vertex is appended, doubling the capacity when the matrix is full, so
+    the matrix is exact after every update without any re-packing.
     """
 
-    #: Re-pack the R-tree when stale entries exceed this fraction of the index.
-    COMPACT_FRACTION = 0.125
-    #: ... but never bother below this many stale entries.
-    COMPACT_MIN_STALE = 64
-
-    def __init__(self, graph: Multigraph | None = None, fanout: int = 16):
-        self._fanout = fanout
-        self._synopses: dict[int, tuple[float, ...]] = {}
-        self._rtree = RTree(SYNOPSIS_FIELDS, fanout)
-        #: Vertices whose R-tree entry is missing or out of date.
-        self._stale: set[int] = set()
+    def __init__(self, graph: Multigraph | None = None):
+        self._matrix = np.empty((0, SYNOPSIS_FIELDS), dtype=np.float64)
+        self._vertices = np.empty(0, dtype=np.int64)
+        self._rows: dict[int, int] = {}
         if graph is not None:
             self.build(graph)
 
     def build(self, graph: Multigraph) -> "SignatureIndex":
-        """Compute every vertex synopsis and bulk-load the R-tree."""
-        self._synopses = {
-            vertex: data_synopsis(signature_of(graph, vertex)) for vertex in graph.vertices()
-        }
-        items = [(fields, vertex) for vertex, fields in self._synopses.items()]
-        self._rtree = RTree.bulk_load(items, SYNOPSIS_FIELDS, self._fanout)
-        self._stale = set()
+        """Compute every vertex synopsis into a fresh matrix."""
+        vertices = list(graph.vertices())
+        synopses = [data_synopsis(signature_of(graph, vertex)) for vertex in vertices]
+        self._matrix = np.array(synopses, dtype=np.float64).reshape(-1, SYNOPSIS_FIELDS)
+        self._vertices = np.array(vertices, dtype=np.int64)
+        self._rows = {vertex: row for row, vertex in enumerate(vertices)}
         return self
 
     def refresh(self, graph: Multigraph, vertex: int) -> None:
         """Recompute the synopsis of ``vertex`` after its incident edges changed."""
-        fields = data_synopsis(signature_of(graph, vertex))
-        if self._synopses.get(vertex) == fields and vertex not in self._stale:
-            return
-        self._synopses[vertex] = fields
-        self._stale.add(vertex)
-
-    def compact_if_needed(self) -> bool:
-        """Re-pack the R-tree when the stale overlay has grown too large."""
-        threshold = max(self.COMPACT_MIN_STALE, int(len(self._synopses) * self.COMPACT_FRACTION))
-        if len(self._stale) < threshold:
-            return False
-        items = [(fields, vertex) for vertex, fields in self._synopses.items()]
-        self._rtree = RTree.bulk_load(items, SYNOPSIS_FIELDS, self._fanout)
-        self._stale = set()
-        return True
-
-    @property
-    def stale_count(self) -> int:
-        """Number of vertices served from the overlay instead of the R-tree."""
-        return len(self._stale)
+        row = self._rows.get(vertex)
+        if row is None:
+            row = len(self._rows)
+            if row == len(self._matrix):
+                capacity = max(2 * row, 16)
+                self._matrix = np.resize(self._matrix, (capacity, SYNOPSIS_FIELDS))
+                self._vertices = np.resize(self._vertices, capacity)
+            self._rows[vertex] = row
+            self._vertices[row] = vertex
+        self._matrix[row] = data_synopsis(signature_of(graph, vertex))
 
     def synopsis(self, vertex: int) -> tuple[float, ...]:
         """Return the stored synopsis of ``vertex``."""
-        return self._synopses[vertex]
+        return tuple(self._matrix[self._rows[vertex]].tolist())
 
     def candidates(
         self,
@@ -89,19 +71,9 @@ class SignatureIndex:
         ``incoming`` / ``outgoing`` are the multi-edges of the query vertex
         signature, exactly as produced by the query multigraph.
         """
-        query_fields = query_synopsis(incoming, outgoing)
-        if not self._stale:
-            return {payload for _, payload in self._rtree.dominating(query_fields)}
-        stale = self._stale
-        found = {
-            payload
-            for _, payload in self._rtree.dominating(query_fields)
-            if payload not in stale
-        }
-        found.update(
-            vertex for vertex in stale if dominates(query_fields, self._synopses[vertex])
-        )
-        return found
+        used = len(self._rows)
+        mask = (self._matrix[:used] >= query_synopsis(incoming, outgoing)).all(axis=1)
+        return set(self._vertices[:used][mask].tolist())
 
     def candidates_among(
         self,
@@ -111,40 +83,27 @@ class SignatureIndex:
     ) -> set[int]:
         """Return the subset of ``members`` whose synopsis dominates the query's.
 
-        Membership-restricted variant of :func:`candidates` for semi-join
-        frontiers: checking ``|members|`` stored synopses directly beats a
-        full R-tree traversal whenever the frontier is narrower than the
-        candidate set, and the synopsis table is always current (staleness
-        only affects the R-tree), so no stale-set handling is needed.
+        Membership-restricted variant of :meth:`candidates` for semi-join
+        frontiers: the same mask, over the rows of the members present in
+        the index only (a cluster halo may name vertices a shard lacks).
         """
-        query_fields = query_synopsis(incoming, outgoing)
-        synopses = self._synopses
-        return {
-            vertex
-            for vertex in members
-            if vertex in synopses and dominates(query_fields, synopses[vertex])
-        }
+        rows = self._rows
+        selected = np.fromiter(
+            (rows[vertex] for vertex in members if vertex in rows), dtype=np.int64
+        )
+        mask = (self._matrix[selected] >= query_synopsis(incoming, outgoing)).all(axis=1)
+        return set(self._vertices[selected[mask]].tolist())
 
     def candidates_scan(
         self,
         incoming: Sequence[frozenset[int]],
         outgoing: Sequence[frozenset[int]],
     ) -> set[int]:
-        """Linear-scan fallback used by the ablation benchmarks (no R-tree)."""
+        """Pure-Python linear scan over the stored synopses (the tests' oracle)."""
         query_fields = query_synopsis(incoming, outgoing)
-        return {
-            vertex
-            for vertex, fields in self._synopses.items()
-            if dominates(query_fields, fields)
-        }
+        used = len(self._rows)
+        rows = zip(self._vertices[:used].tolist(), self._matrix[:used].tolist())
+        return {vertex for vertex, fields in rows if dominates(query_fields, fields)}
 
     def __len__(self) -> int:
-        return len(self._synopses)
-
-    def rtree_height(self) -> int:
-        """Return the height of the backing R-tree."""
-        return self._rtree.height()
-
-    def rtree_nodes(self) -> int:
-        """Return the number of R-tree nodes (for size reporting)."""
-        return self._rtree.node_count()
+        return len(self._rows)

@@ -99,10 +99,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--match-backend",
         choices=BACKEND_CHOICES,
-        default="auto",
+        default="vectorized",
         help="matching core: 'vectorized' batches candidate intersection over "
-        "numpy posting arrays, 'scalar' is the pure-Python recursion, 'auto' "
-        "picks vectorized when numpy is importable (default: %(default)s)",
+        "numpy posting arrays, 'scalar' is the pure-Python recursion "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--read-only",
@@ -157,7 +157,7 @@ def build_service(args: argparse.Namespace) -> EngineService:
     with its persisted shard count and only picks up the worker settings.
     """
     shards = getattr(args, "shards", 1)
-    backend = getattr(args, "match_backend", "auto")
+    backend = getattr(args, "match_backend", None)
     dataset = Path(args.dataset)
     if shards > 1 and not (dataset.is_dir() or dataset.name == MANIFEST_NAME):
         # Partitioning indexes per shard; loading only the data multigraph
@@ -176,8 +176,7 @@ def build_service(args: argparse.Namespace) -> EngineService:
         if isinstance(engine, ShardedEngine):
             engine.workers = args.shard_workers or engine.workers
             engine.executor = args.shard_executor
-        # Re-resolving covers loaded snapshots too; an explicit 'vectorized'
-        # without numpy raises ImportError naming the [fast] extra.
+        # Re-resolving covers loaded snapshots too.
         engine.match_backend = backend
     config = ServiceConfig(
         default_timeout_seconds=args.timeout if args.timeout > 0 else None,

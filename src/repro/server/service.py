@@ -736,12 +736,6 @@ class EngineService:
             engine_stats = self.engine.statistics()
             data_version = self.engine.data_version
             match_backend = self.engine.match_backend
-            # A sharded engine has no single index ensemble; it aggregates
-            # staleness across shards and reports per-shard figures.
-            if hasattr(self.engine, "signature_stale_total"):
-                signature_stale = self.engine.signature_stale_total()
-            else:
-                signature_stale = self.engine.indexes.signatures.stale_count
             cluster = None
             if hasattr(self.engine, "shard_stats"):
                 cluster = {
@@ -765,7 +759,9 @@ class EngineService:
                 **update_counters,
                 "read_only": self.config.read_only,
                 "latency": self.update_latency.snapshot(),
-                "signature_stale": signature_stale,
+                # Always 0: the signature index is exact after every update.
+                # Kept because perfbench/run.py reads it.
+                "signature_stale": 0,
                 "lock": self._rwlock.snapshot(),
             },
             "latency": self.latency.snapshot(),

@@ -35,6 +35,7 @@ is measured in estimated rows only.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,6 +66,10 @@ BlockRows = Callable[[BGPNode], "int | None"]
 #: (or explode) every later estimate of a block.
 _MIN_FACTOR = 1.0 / 1024.0
 _MAX_FACTOR = 1024.0
+
+#: Shapes the planner remembers; shape keys embed the query constants, so
+#: the least recently planned or observed shape is evicted past this bound.
+MAX_SHAPES = 1024
 
 
 def shape_key(node: PlanNode) -> str:
@@ -231,8 +236,19 @@ class QueryPlanner:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._shapes: dict[str, _ShapeState] = {}
+        self._shapes: OrderedDict[str, _ShapeState] = OrderedDict()
         self.stats = PlannerStats()
+
+    def _state(self, shape: str) -> _ShapeState:
+        """The state of ``shape``, made most recent (caller holds the lock)."""
+        state = self._shapes.get(shape)
+        if state is None:
+            state = self._shapes[shape] = _ShapeState()
+            if len(self._shapes) > MAX_SHAPES:
+                self._shapes.popitem(last=False)
+        else:
+            self._shapes.move_to_end(shape)
+        return state
 
     # ------------------------------------------------------------------ #
     # planning
@@ -251,7 +267,7 @@ class QueryPlanner:
             return root, None
         shape = shape_key(root)
         with self._lock:
-            state = self._shapes.setdefault(shape, _ShapeState())
+            state = self._state(shape)
             self.stats.planned += 1
             if state.data_version is not None:
                 if state.data_version != data_version:
@@ -297,7 +313,7 @@ class QueryPlanner:
         ``[1/1024, 1024]``.
         """
         with self._lock:
-            state = self._shapes.setdefault(shape, _ShapeState())
+            state = self._state(shape)
             for index, (estimated, actual) in block_feedback.items():
                 if estimated is None:
                     continue

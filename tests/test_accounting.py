@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro import AmberEngine
-from repro.amber.backend import HAS_NUMPY
 from repro.cluster import ShardedEngine
 from repro.telemetry import (
     QueryProfile,
@@ -153,7 +152,6 @@ class TestAnalyzeMode:
         assert counters.get("solutions.emitted", 0) > 0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="vectorized backend requires numpy")
 class TestBackendParity:
     @pytest.fixture(scope="class")
     def engines(self, paper_store):

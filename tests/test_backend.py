@@ -13,20 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro import AmberEngine, IRI, Literal, Triple, TripleStore
-from repro.amber.backend import (
-    BACKEND_CHOICES,
-    ScalarBackend,
-    VectorizedBackend,
-    resolve_backend,
-)
+from repro.amber.backend import BACKEND_CHOICES, ScalarBackend, resolve_backend
 from repro.amber.engine import EXECUTE_MODES, QueryOutcome
 from repro.amber.matching import MatcherConfig
-from repro.index.columnar import HAS_NUMPY
 from repro.sparql.bindings import Binding, ResultSet
 from repro.sparql.algebra import Variable
 
 E = "http://e/"
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 
 def _iri(name: str) -> IRI:
@@ -55,16 +48,15 @@ QUERIES = [
 
 class TestResolveBackend:
     def test_choices_cover_the_registry(self):
-        assert BACKEND_CHOICES == ("auto", "scalar", "vectorized")
+        assert BACKEND_CHOICES == ("scalar", "vectorized")
 
-    def test_scalar_is_always_available(self):
-        backend = resolve_backend("scalar")
-        assert backend.name == "scalar" and backend.available()
+    def test_names_resolve_to_their_backend(self):
+        assert resolve_backend("scalar").name == "scalar"
+        assert resolve_backend("vectorized").name == "vectorized"
 
-    def test_auto_prefers_vectorized_when_numpy_is_present(self):
-        expected = "vectorized" if HAS_NUMPY else "scalar"
-        assert resolve_backend("auto").name == expected
-        assert resolve_backend(None).name == expected
+    def test_vectorized_is_the_default(self):
+        assert resolve_backend(None).name == "vectorized"
+        assert resolve_backend().name == "vectorized"
 
     def test_unknown_name_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown match backend"):
@@ -74,12 +66,7 @@ class TestResolveBackend:
         backend = ScalarBackend()
         assert resolve_backend(backend) is backend
 
-    @needs_numpy
-    def test_vectorized_backend_reports_available(self):
-        assert VectorizedBackend().available()
 
-
-@needs_numpy
 class TestBackendParity:
     """The two backends must be indistinguishable through the engine API."""
 
@@ -223,7 +210,6 @@ class TestLazyResultSet:
         assert calls == [True]
 
 
-@needs_numpy
 class TestPostingArrays:
     def test_attribute_postings_track_mutations(self):
         engine = AmberEngine.from_store(_ring_store(), backend="vectorized")

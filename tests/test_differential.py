@@ -37,7 +37,6 @@ from hypothesis import strategies as st
 from repro import AmberEngine, IRI, Literal, Triple
 from repro.baselines import NestedLoopEngine
 from repro.cluster import ShardedEngine
-from repro.index.columnar import HAS_NUMPY
 from repro.multigraph import build_data_multigraph
 from repro.rdf.dataset import TripleStore
 from repro.sparql.algebra import (
@@ -369,13 +368,7 @@ def _reference_query(store: TripleStore, query_text: str) -> Counter:
 #: Every multigraph engine runs once per match backend: the vectorized
 #: columnar core must be row-for-row indistinguishable from the scalar
 #: recursion, on static graphs and across interleaved updates.
-BACKENDS = [
-    "scalar",
-    pytest.param(
-        "vectorized",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed"),
-    ),
-]
+BACKENDS = ["scalar", "vectorized"]
 
 
 def _build_engines(store: TripleStore, backend: str = "scalar"):

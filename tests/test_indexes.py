@@ -1,11 +1,15 @@
 """Unit tests for the attribute index A, signature index S and neighbourhood index N."""
 
+import random
+
 import pytest
 
 from repro.index.attribute_index import AttributeIndex
 from repro.index.manager import IndexSet
 from repro.index.neighborhood import NeighborhoodIndex, Otil
 from repro.index.signature_index import SignatureIndex
+from repro.index.synopsis import data_synopsis, dominates, query_synopsis, signature_of
+from repro.multigraph.graph import Multigraph
 from repro.multigraph.query_graph import INCOMING, OUTGOING
 from repro.rdf.terms import IRI
 
@@ -73,7 +77,7 @@ class TestSignatureIndex:
         assert vid(paper_data, "Amy_Winehouse") in candidates
         assert vid(paper_data, "Christopher_Nolan") in candidates
 
-    def test_rtree_and_scan_agree(self, paper_data):
+    def test_mask_and_scan_agree(self, paper_data):
         index = SignatureIndex(paper_data.graph)
         t_part_of = eid(paper_data, "isPartOf")
         t_capital = eid(paper_data, "hasCapital")
@@ -93,9 +97,101 @@ class TestSignatureIndex:
     def test_structural_metadata(self, paper_data):
         index = SignatureIndex(paper_data.graph)
         assert len(index) == 9
-        assert index.rtree_height() >= 1
-        assert index.rtree_nodes() >= 1
         assert len(index.synopsis(vid(paper_data, "London"))) == 8
+
+
+def lemma1_scan(graph, incoming, outgoing):
+    """Brute-force Lemma 1 over synopses recomputed from ``graph``."""
+    query_fields = query_synopsis(incoming, outgoing)
+    return {
+        vertex
+        for vertex in graph.vertices()
+        if dominates(query_fields, data_synopsis(signature_of(graph, vertex)))
+    }
+
+
+class TestSignatureMatrix:
+    def test_empty_index(self):
+        for index in (SignatureIndex(), SignatureIndex(Multigraph())):
+            assert len(index) == 0
+            assert index.candidates([], []) == set()
+            assert index.candidates([], [frozenset({0})]) == set()
+            assert index.candidates_among([1, 2], [], []) == set()
+
+    def test_single_vertex(self):
+        graph = Multigraph()
+        graph.add_vertex(7)
+        index = SignatureIndex(graph)
+        assert len(index) == 1
+        assert index.candidates([], []) == {7}
+        assert index.candidates([], [frozenset({0})]) == set()
+        assert index.synopsis(7) == (0.0,) * 8
+
+    def test_refresh_appends_vertices_past_capacity(self):
+        graph = Multigraph()
+        index = SignatureIndex(graph)
+        for vertex in range(1, 101):
+            graph.add_edge(vertex, 0, vertex % 5)
+            index.refresh(graph, vertex)
+        index.refresh(graph, 0)
+        assert len(index) == 101
+        for vertex in graph.vertices():
+            assert index.synopsis(vertex) == data_synopsis(signature_of(graph, vertex))
+        query = ([], [frozenset({3})])
+        assert index.candidates(*query) == lemma1_scan(graph, *query)
+        assert index.candidates(*query) == {v for v in range(1, 101) if v % 5 == 3}
+
+    def test_refresh_overwrites_row_in_place(self):
+        graph = Multigraph()
+        graph.add_edge(1, 2, 0)
+        index = SignatureIndex(graph)
+        graph.add_edge(1, 3, 4)
+        index.refresh(graph, 1)
+        assert len(index) == 2
+        assert index.synopsis(1) == data_synopsis(signature_of(graph, 1))
+        assert index.candidates([], [frozenset({4})]) == {1}
+        graph.remove_edge(1, 3, 4)
+        index.refresh(graph, 1)
+        assert index.candidates([], [frozenset({4})]) == set()
+        assert index.candidates([], [frozenset({0})]) == {1}
+
+    def test_candidates_among_ignores_absent_members(self):
+        graph = Multigraph()
+        for source in (1, 2, 3):
+            graph.add_edge(source, 0, 1)
+        index = SignatureIndex(graph)
+        query = ([], [frozenset({1})])
+        assert index.candidates_among([2, 3, 42, 99], *query) == {2, 3}
+        assert index.candidates_among([0, 42], *query) == set()
+        assert index.candidates_among([], *query) == set()
+
+    def test_empty_side_imposes_no_constraint(self):
+        """A query side without edges is a ``-inf`` bound, so any ``-min`` passes."""
+        graph = Multigraph()
+        graph.add_edge(1, 2, 9)
+        graph.add_edge(3, 1, 0)
+        index = SignatureIndex(graph)
+        assert index.candidates([], [frozenset({9})]) == {1}
+        assert index.candidates([frozenset({9})], []) == {2}
+        assert index.candidates([], []) == {1, 2, 3}
+
+    def test_matches_lemma1_scan_on_random_graph(self):
+        rng = random.Random(42)
+        graph = Multigraph()
+        for _ in range(400):
+            source, target = rng.sample(range(60), 2)
+            graph.add_edge(source, target, rng.randrange(6))
+        index = SignatureIndex(graph)
+        members = rng.sample(range(80), 40)
+        for _ in range(50):
+            incoming = [frozenset(rng.sample(range(6), rng.randint(1, 2)))
+                        for _ in range(rng.randint(0, 2))]
+            outgoing = [frozenset(rng.sample(range(6), rng.randint(1, 2)))
+                        for _ in range(rng.randint(0, 2))]
+            expected = lemma1_scan(graph, incoming, outgoing)
+            assert index.candidates(incoming, outgoing) == expected
+            assert index.candidates_scan(incoming, outgoing) == expected
+            assert index.candidates_among(members, incoming, outgoing) == expected & set(members)
 
 
 class TestNeighborhoodIndex:

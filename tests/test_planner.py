@@ -21,7 +21,6 @@ from repro import AmberEngine, IRI, QueryTimeout, Triple
 from repro.baselines import NestedLoopEngine
 from repro.cluster import ShardedEngine
 from repro.cluster.scatter import plan_scatter, plan_stars, should_push
-from repro.index.columnar import HAS_NUMPY
 from repro.multigraph import build_data_multigraph
 from repro.rdf.dataset import TripleStore
 from repro.server import LRUCache
@@ -35,7 +34,7 @@ from repro.sparql.eval import (
     iter_plan_nodes,
 )
 from repro.sparql.parser import parse_sparql
-from repro.sparql.planner import QueryPlanner, shape_key
+from repro.sparql.planner import MAX_SHAPES, QueryPlanner, shape_key
 from repro.timing import Deadline
 
 E = "http://e/"
@@ -165,6 +164,24 @@ class TestFeedback:
         planner2 = QueryPlanner()
         planner2.observe("s", {0: (10**9, 0)})
         assert planner2.corrected("s", 0, 1024) == 1
+
+    def test_shape_memory_is_bounded_and_keeps_recent_feedback(self):
+        planner = QueryPlanner()
+        recent = shape_key(_compiled_root(TWO_BLOCKS))
+        planner.observe(recent, {0: (1, 100)})
+        for i in range(MAX_SHAPES + 500):
+            # Shape keys embed constants: every text is a new shape.
+            query = f'SELECT * WHERE {{ ?x <{E}p> ?y . OPTIONAL {{ ?y <{E}q> "c{i}" . }} }}'
+            planner.plan(_compiled_root(query), lambda block: 1, 0)
+            if i % 100 == 0:
+                # Re-planning keeps the shape recent without new feedback.
+                planner.plan(_compiled_root(TWO_BLOCKS), lambda block: 1, 0)
+        assert len(planner._shapes) == MAX_SHAPES
+        assert planner.corrected(recent, 0, 1) == 100
+        planner.observe("oldest", {0: (1, 100)})
+        for i in range(MAX_SHAPES):
+            planner.observe(f"shape-{i}", {0: (1, 1)})
+        assert planner.corrected("oldest", 0, 1) == 1  # evicted: raw estimate
 
 
 def _chain_triples() -> list[Triple]:
@@ -395,7 +412,6 @@ _ENGINE_BUILDERS = [
     pytest.param(
         lambda: AmberEngine.from_triples(_differential_store(), backend="vectorized"),
         id="amber-vectorized",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable"),
     ),
     pytest.param(
         lambda: ShardedEngine.build(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import AmberEngine
 from repro.baselines import NestedLoopEngine
-from repro.index.rtree import RTree
 from repro.index.synopsis import data_synopsis, dominates, query_synopsis, signature_of
 from repro.multigraph.builder import build_data_multigraph
 from repro.rdf.dataset import TripleStore
@@ -48,10 +47,23 @@ _literal_triples = st.builds(
 
 _triples = st.lists(st.one_of(_resource_triples, _literal_triples), min_size=1, max_size=30)
 
-_points = st.lists(
-    st.tuples(*[st.integers(min_value=-10, max_value=10) for _ in range(4)]),
-    min_size=1,
-    max_size=60,
+#: Triples inserted after the build: mostly fresh ``n*`` vertices, so the
+#: synopsis matrix has to append rows (and double its capacity).
+_grown_names = st.sampled_from([f"n{i}" for i in range(40)])
+_growth_triples = st.lists(
+    st.builds(
+        lambda s, p, o: Triple(_iri(s), _iri(p), _iri(o)),
+        _grown_names,
+        _predicate_names,
+        st.one_of(_entity_names, _grown_names),
+    ).filter(lambda t: t.subject != t.object),
+    max_size=40,
+)
+
+#: One side of a query vertex signature: multi-edges over edge-type ids,
+#: including ids no data edge carries.
+_probe_side = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=5), min_size=1, max_size=3), max_size=3
 )
 
 
@@ -125,7 +137,7 @@ class TestMultigraphInvariants:
 
 
 # --------------------------------------------------------------------------- #
-# Synopsis dominance (Lemma 1) and R-tree correctness
+# Synopsis dominance (Lemma 1) and the synopsis matrix
 # --------------------------------------------------------------------------- #
 class TestSynopsisInvariants:
     @given(_triples)
@@ -148,15 +160,26 @@ class TestSynopsisInvariants:
             query = query_synopsis(incoming, outgoing)
             assert dominates(query, data_synopsis(signature_of(graph, vertex)))
 
-    @given(_points, st.tuples(*[st.integers(min_value=-10, max_value=10) for _ in range(4)]))
-    @settings(max_examples=80, deadline=None)
-    def test_rtree_dominance_matches_linear_scan(self, points, query):
-        items = [(tuple(float(x) for x in point), index) for index, point in enumerate(points)]
-        tree = RTree.bulk_load(items, dimensions=4, fanout=4)
-        expected = {
-            payload for point, payload in items if all(p >= q for p, q in zip(point, query))
-        }
-        assert {payload for _, payload in tree.dominating(query)} == expected
+    @given(_triples, _growth_triples, st.lists(st.tuples(_probe_side, _probe_side), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_candidates_match_lemma1_scan(self, initial, grown, probes):
+        """The dominance mask equals a brute-force Lemma-1 scan, also after growth."""
+        engine = AmberEngine.from_triples(dict.fromkeys(initial))
+        engine.insert_triples(grown)
+        engine.delete_triples(initial[::2])
+        graph = engine.data.graph
+        index = engine.indexes.signatures
+        synopses = {v: data_synopsis(signature_of(graph, v)) for v in graph.vertices()}
+        assert len(index) == len(synopses)
+        # Every other vertex plus ids the index has never seen (a cluster halo).
+        halo = {max(synopses) + offset for offset in (1, 2, 3)}
+        members = set(sorted(synopses)[::2]) | halo
+        for incoming, outgoing in [([], [])] + probes:
+            query = query_synopsis(incoming, outgoing)
+            expected = {v for v, fields in synopses.items() if dominates(query, fields)}
+            found = index.candidates(incoming, outgoing)
+            assert found == expected
+            assert index.candidates_among(members, incoming, outgoing) == found & members
 
 
 # --------------------------------------------------------------------------- #

@@ -237,17 +237,14 @@ class TestLoadErrorPaths:
         assert self._snapshot(engine) == before
 
 
-class TestCompaction:
-    def test_rtree_compacts_and_stays_exact_under_churn(self, prefixes):
+class TestIndexGrowth:
+    def test_matrix_grows_and_stays_exact_under_churn(self, prefixes):
         engine = AmberEngine.from_turtle("@prefix x: <http://e/> . x:a x:p x:b .")
-        signatures = engine.indexes.signatures
-        signatures.COMPACT_MIN_STALE = 4  # force compaction quickly
         triples = [
             Triple(IRI(f"{E}s{i}"), IRI(f"{E}p{i % 3}"), IRI(f"{E}o{i % 7}"))
             for i in range(40)
         ]
         engine.insert_triples(triples)
-        assert signatures.stale_count < 40  # compaction ran at least once
         engine.delete_triples(triples[::2])
         assert_indexes_exact(engine)
 
