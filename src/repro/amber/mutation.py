@@ -9,9 +9,10 @@ attribute postings stay exactly what a from-scratch build on the mutated
 triple set would produce (rebuild equivalence — asserted by the property
 tests).
 
-Maintenance cost per triple is local: an edge change refreshes the OTIL
-pair and synopsis of its two endpoints only; an attribute change touches
-one inverted list.  The signature index overwrites the synopsis row of each
+Maintenance cost per triple is local: an edge change edits one OTIL entry
+of each endpoint and the two CSRs of its edge type, and refreshes the
+synopses of its two endpoints; an attribute change touches one inverted
+list.  The signature index overwrites the synopsis row of each
 refreshed vertex in place and appends rows for new vertices
 (see :class:`~repro.index.signature_index.SignatureIndex`).
 
@@ -169,32 +170,32 @@ class GraphMutator:
     def _apply_batch(self, triples: Iterable[Triple], insert: bool) -> int:
         """Apply one batch of inserts or deletes, then repair the indexes.
 
-        Attribute postings are edited per delta (exact and O(1)), but the
-        edge-dependent structures (OTIL pair, synopsis) are refreshed once
-        per *touched vertex* at the end of the batch rather than once per
-        triple: a bulk LOAD of N triples incident on one hub vertex would
-        otherwise rebuild that vertex's full adjacency N times — quadratic
-        work, all of it under the service's exclusive write lock.  Deferring
-        is safe because a refresh derives purely from the final graph state.
+        Attribute postings are edited per delta (exact and O(1)).  Edge
+        deltas and new vertices are collected and handed to
+        :meth:`IndexSet.apply_edge_changes` once at the end of the batch:
+        it edits one OTIL entry per endpoint of each changed pair, patches
+        the CSRs of each changed edge type and recomputes each touched
+        vertex's synopsis once, however many triples of the batch touch it
+        — a bulk LOAD around a hub vertex stays linear in its size.
         """
-        graph = self.data.graph
-        touched: set[int] = set()
+        edges: list[tuple[int, int, int]] = []
+        new_vertices: list[int] = []
         count = 0
         for triple in triples:
             delta = self.data.insert_triple(triple) if insert else self.data.remove_triple(triple)
             if delta is None:
                 continue
             count += 1
-            touched.update(delta.new_vertices)
+            new_vertices.extend(delta.new_vertices)
             if delta.attribute is not None:
                 if insert:
                     self.indexes.attributes.add(delta.source, delta.attribute)
                 else:
                     self.indexes.attributes.remove(delta.source, delta.attribute)
             else:
-                touched.update(delta.touched_vertices())
-        for vertex in touched:
-            self.indexes.refresh_vertex(graph, vertex)
+                edges.append((delta.source, delta.target, delta.edge_type))
+        if edges or new_vertices:
+            self.indexes.apply_edge_changes(self.data.graph, edges, new_vertices)
         return count
 
     # ------------------------------------------------------------------ #

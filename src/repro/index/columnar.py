@@ -9,9 +9,10 @@ The scalar matcher works on Python sets; the vectorized backend works on
 * :class:`ColumnarEdges` — lazily built CSR adjacency per
   ``(edge type, direction)`` over the dense vertex-id space, with the
   sorted ``(source, neighbour)`` pair keys used for batched multi-edge
-  verification.  The cache is dropped whenever an edge of the data graph
-  changes (see :meth:`repro.index.manager.IndexSet.refresh_vertex`), so
-  arrays stay exactly consistent under SPARQL UPDATE.
+  verification.  Every CSR is built in one vectorized pass on first use;
+  SPARQL UPDATE then patches only the two CSRs of each changed edge's type
+  (:meth:`ColumnarEdges.apply`), so the arrays stay exactly what a fresh
+  build on the mutated graph would produce.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "in_sorted",
     "ColumnarEdges",
 ]
+
 
 def as_sorted_array(values: Iterable[int]):
     """Return ``values`` (unique ints) as a sorted int64 posting array."""
@@ -57,6 +59,20 @@ def in_sorted(sorted_array, values):
     return sorted_array[positions] == values
 
 
+def _capacity(rows: int) -> int:
+    """Row capacity (= pair-key stride) for ``rows`` vertex ids, with headroom.
+
+    The headroom lets new vertices join without re-keying: rows past the
+    last vertex are empty, and their ``indptr`` entries track the tail.
+    """
+    return rows + max(rows // 8, 64)
+
+
+def _empty_csr(stride: int) -> tuple:
+    empty = np.empty(0, dtype=np.int64)
+    return np.zeros(stride + 1, dtype=np.int64), empty, empty
+
+
 class ColumnarEdges:
     """CSR adjacency per ``(edge type, direction)`` over dense vertex ids.
 
@@ -68,53 +84,132 @@ class ColumnarEdges:
     scalar matcher's ``sorted(candidates)`` emission order, and the global
     ``source * stride + neighbour`` key array is itself sorted — batched
     pair membership is one ``searchsorted``.
+
+    Every array is replaced, never written in place, so a tuple handed to a
+    reader stays valid while a writer patches the cache.
     """
 
     def __init__(self) -> None:
-        self._csr: dict[tuple[int, str], tuple] = {}
+        #: ``(edge type, direction) -> (indptr, neighbors, pair_keys)``;
+        #: None until the first read builds every key at once.
+        self._csr: dict[tuple[int, str], tuple] | None = None
         self._stride = 0
-
-    def invalidate(self) -> None:
-        """Drop every cached CSR (called on any edge mutation)."""
-        self._csr.clear()
+        self._empty: tuple = ()
 
     def stride(self, graph: Multigraph) -> int:
-        """The pair-key stride: one past the largest vertex id."""
-        if not self._csr:
-            self._stride = max(graph.vertices(), default=-1) + 1
+        """The pair-key stride: the row capacity, past the largest vertex id."""
+        if self._csr is None:
+            self._build(graph)
         return self._stride
 
     def csr(self, graph: Multigraph, edge_type: int, direction: str):
         """Return ``(indptr, neighbors, pair_keys)`` for one (type, direction).
 
-        Built lazily from the live adjacency and memoised until
-        :meth:`invalidate`; an unknown edge type yields empty arrays.
+        The first call builds every key from the live adjacency; an edge
+        type without edges yields an empty CSR.
         """
-        key = (edge_type, direction)
-        cached = self._csr.get(key)
-        if cached is not None:
-            return cached
         if direction not in (INCOMING, OUTGOING):
             raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-        stride = self.stride(graph)
+        if self._csr is None:
+            self._build(graph)
+        return self._csr.get((edge_type, direction), self._empty)
+
+    def _build(self, graph: Multigraph) -> None:
+        """Build the CSR of every (type, direction) in one pass over the edges."""
         sources: list[int] = []
-        neighbors: list[int] = []
-        for vertex in graph.vertices():
-            adjacent = (
-                graph.in_neighbors(vertex) if direction == INCOMING else graph.out_neighbors(vertex)
+        targets: list[int] = []
+        widths: list[int] = []
+        types: list[int] = []
+        for source in graph.vertices():
+            for target, edge_types in graph.out_neighbors(source).items():
+                sources.append(source)
+                targets.append(target)
+                widths.append(len(edge_types))
+                types.extend(edge_types)
+        stride = _capacity(max(graph.vertices(), default=-1) + 1)
+        src = np.repeat(np.asarray(sources, dtype=np.int64), widths)
+        dst = np.repeat(np.asarray(targets, dtype=np.int64), widths)
+        typ = np.asarray(types, dtype=np.int64)
+        row_ids = np.arange(stride + 1, dtype=np.int64)
+        built: dict[tuple[int, str], tuple] = {}
+        for direction, rows, neighbors in ((OUTGOING, src, dst), (INCOMING, dst, src)):
+            order = np.lexsort((neighbors, rows, typ))
+            rows, neighbors, by_type = rows[order], neighbors[order], typ[order]
+            bounds = np.flatnonzero(np.diff(by_type)) + 1
+            for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(by_type)]):
+                if lo == hi:
+                    continue
+                block_rows, block = rows[lo:hi], neighbors[lo:hi]
+                indptr = np.searchsorted(block_rows, row_ids)
+                built[(int(by_type[lo]), direction)] = (indptr, block, block_rows * stride + block)
+        self._stride = stride
+        self._empty = _empty_csr(stride)
+        self._csr = built
+
+    # ------------------------------------------------------------------ #
+    # incremental maintenance (dynamic updates)
+    # ------------------------------------------------------------------ #
+    def apply(self, graph: Multigraph, edges, new_vertices) -> None:
+        """Patch the cached CSRs for a batch of changed edges.
+
+        ``edges`` holds ``(source, target, edge type)`` triples whose
+        presence may have changed; ``graph`` holds their final state.  Only
+        the ``'+'`` and ``'-'`` CSRs of each changed type are touched:
+        ``np.insert``/``np.delete`` on their neighbours and pair keys and
+        ±1 on the tail of ``indptr``.  A vertex id past the row capacity
+        grows and re-keys every CSR.  Before the first read nothing is
+        cached and there is nothing to patch.
+        """
+        if self._csr is None:
+            return
+        top = max(new_vertices, default=-1)
+        if top >= self._stride:
+            self._grow(top + 1)
+        stride = self._stride
+        changes: dict[tuple[int, str], dict[int, bool]] = {}
+        for source, target, edge_type in edges:
+            present = graph.has_edge(source, target, edge_type)
+            changes.setdefault((edge_type, OUTGOING), {})[source * stride + target] = present
+            changes.setdefault((edge_type, INCOMING), {})[target * stride + source] = present
+        for key, wanted in changes.items():
+            self._csr[key] = self._patch(self._csr.get(key, self._empty), wanted)
+
+    def _patch(self, csr: tuple, wanted: dict[int, bool]) -> tuple:
+        """Return ``csr`` with each pair key of ``wanted`` present or absent."""
+        indptr, neighbors, keys = csr
+        pairs = np.fromiter(wanted, dtype=np.int64, count=len(wanted))
+        present = np.fromiter(wanted.values(), dtype=bool, count=len(wanted))
+        cached = in_sorted(keys, pairs)
+        added = np.sort(pairs[present & ~cached])
+        dropped = pairs[~present & cached]
+        if not len(added) and not len(dropped):
+            return csr
+        stride = self._stride
+        if len(dropped):
+            positions = np.searchsorted(keys, dropped)
+            keys = np.delete(keys, positions)
+            neighbors = np.delete(neighbors, positions)
+        if len(added):
+            positions = np.searchsorted(keys, added)
+            keys = np.insert(keys, positions, added)
+            neighbors = np.insert(neighbors, positions, added % stride)
+        step = np.zeros(len(indptr), dtype=np.int64)
+        np.add.at(step, added // stride + 1, 1)
+        np.add.at(step, dropped // stride + 1, -1)
+        return indptr + np.cumsum(step), neighbors, keys
+
+    def _grow(self, rows: int) -> None:
+        """Raise the row capacity to fit ``rows`` ids and re-key every CSR."""
+        old, stride = self._stride, _capacity(rows)
+        for key, (indptr, neighbors, keys) in self._csr.items():
+            tail = np.full(stride - old, indptr[-1], dtype=np.int64)
+            self._csr[key] = (
+                np.concatenate((indptr, tail)),
+                neighbors,
+                keys // old * stride + neighbors,
             )
-            for neighbor, types in adjacent.items():
-                if edge_type in types:
-                    sources.append(vertex)
-                    neighbors.append(neighbor)
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(neighbors, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        indptr = np.searchsorted(src, np.arange(stride + 1, dtype=np.int64))
-        built = (indptr, dst, src * stride + dst)
-        self._csr[key] = built
-        return built
+        self._stride = stride
+        self._empty = _empty_csr(stride)
 
     def slice_count(self, graph: Multigraph, anchors, edge_type: int, direction: str) -> int:
         """The pair count :meth:`slice_neighbors` would produce, without gathering."""

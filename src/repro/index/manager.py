@@ -50,8 +50,8 @@ class IndexSet:
         self.signatures = signatures
         self.neighborhoods = neighborhoods
         self.report = report
-        #: Columnar CSR adjacency per (edge type, direction), built lazily
-        #: by the vectorized backend and dropped on any edge mutation.
+        #: Columnar CSR adjacency per (edge type, direction), built on the
+        #: vectorized backend's first read and patched per edge on update.
         self.columnar = ColumnarEdges()
 
     @classmethod
@@ -84,22 +84,27 @@ class IndexSet:
     # ------------------------------------------------------------------ #
     # incremental maintenance (dynamic updates)
     # ------------------------------------------------------------------ #
-    def refresh_vertex(self, graph, vertex: int) -> None:
-        """Re-derive the edge-dependent indexes of one vertex from ``graph``.
+    def apply_edge_changes(self, graph, edges, new_vertices) -> None:
+        """Bring the edge-dependent indexes in line with ``graph`` after a batch.
 
-        Called by :class:`repro.amber.mutation.GraphMutator` for both
-        endpoints of every inserted/deleted edge (and for brand-new
-        vertices): the OTIL pair is rebuilt locally and the synopsis is
-        recomputed, so ``S`` and ``N`` stay exact without an offline
-        rebuild.  The attribute index is maintained directly via
+        Called once per batch by :class:`repro.amber.mutation.GraphMutator`
+        with the ``(source, target, edge type)`` triples it inserted or
+        deleted and the vertices it created.  Each changed vertex pair edits
+        one OTIL entry per endpoint, each changed edge type patches its two
+        CSRs, and the synopsis of every touched vertex is recomputed once,
+        so ``S``, ``N`` and the CSRs stay exact without an offline rebuild.
+        The attribute index is maintained directly via
         :meth:`AttributeIndex.add` / :meth:`AttributeIndex.remove`.
         """
-        self.neighborhoods.refresh_vertex(graph, vertex)
-        self.signatures.refresh(graph, vertex)
-        # Edge (or new-vertex) churn invalidates the CSR snapshots wholesale;
-        # they rebuild lazily from the live adjacency on next use, so the
-        # vectorized backend always matches a from-scratch build.
-        self.columnar.invalidate()
+        touched = set(new_vertices)
+        for vertex in touched:
+            self.neighborhoods.add_vertex(vertex)
+        for source, target in {(source, target) for source, target, _ in edges}:
+            self.neighborhoods.update_edge(graph, source, target)
+            touched.update((source, target))
+        for vertex in touched:
+            self.signatures.refresh(graph, vertex)
+        self.columnar.apply(graph, edges, new_vertices)
 
 
 def build_indexes(data: DataMultigraph) -> IndexSet:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from ..multigraph.graph import Multigraph
 from ..multigraph.query_graph import INCOMING, OUTGOING
 from .columnar import as_sorted_array
@@ -41,29 +43,82 @@ class Otil:
         #: Flat inverted list: edge type -> neighbours having that type.
         self._postings: dict[int, set[int]] = {}
         self._neighbor_edges: dict[int, frozenset[int]] = {}
-        #: Lazily built sorted posting arrays (vectorized backend); entries
-        #: are dropped per edge type on insert, and a mutated vertex gets a
-        #: whole fresh Otil from ``NeighborhoodIndex.refresh_vertex`` anyway.
-        self._arrays: dict[int, object] = {}
+        #: Lazily built sorted posting arrays (vectorized backend).  Edits
+        #: patch a memoised array copy-on-write instead of dropping it, so a
+        #: hub vertex's arrays survive updates to its other neighbours.
+        self._arrays: dict[int, np.ndarray] = {}
 
     def insert(self, neighbor: int, edge_types: Iterable[int]) -> None:
-        """Insert the ordered multi-edge between this vertex and ``neighbor``."""
-        ordered = sorted(set(edge_types))
-        if not ordered:
+        """Set the ordered multi-edge between this vertex and ``neighbor``.
+
+        A neighbour that is already indexed has its old multi-edge replaced:
+        the old trie path is unlinked and only the postings of the types
+        that differ are edited, so the Python work is O(|multi-edge|), not
+        O(neighbours), plus one array copy per memoised posting that
+        changes.  An empty ``edge_types`` is ignored; use :meth:`remove` to
+        drop a neighbour.
+        """
+        new = frozenset(edge_types)
+        if not new:
             return
-        self._neighbor_edges[neighbor] = frozenset(ordered)
-        for edge_type in ordered:
-            self._arrays.pop(edge_type, None)
+        old = self._neighbor_edges.get(neighbor, frozenset())
+        if new == old:
+            return
+        if old:
+            self._unlink_path(neighbor, old)
+        self._neighbor_edges[neighbor] = new
         level = self._roots
-        for edge_type in ordered:
+        for edge_type in sorted(new):
             node = level.get(edge_type)
             if node is None:
                 node = OtilNode(edge_type)
                 level[edge_type] = node
             node.neighbors.add(neighbor)
             level = node.children
-        for edge_type in ordered:
+        for edge_type in old - new:
+            self._discard_posting(edge_type, neighbor)
+        for edge_type in new - old:
             self._postings.setdefault(edge_type, set()).add(neighbor)
+            array = self._arrays.get(edge_type)
+            if array is not None:
+                position = np.searchsorted(array, neighbor)
+                self._arrays[edge_type] = np.insert(array, position, neighbor)
+
+    def remove(self, neighbor: int) -> None:
+        """Drop ``neighbor`` and its whole multi-edge (no-op when absent)."""
+        old = self._neighbor_edges.pop(neighbor, None)
+        if old is None:
+            return
+        self._unlink_path(neighbor, old)
+        for edge_type in old:
+            self._discard_posting(edge_type, neighbor)
+
+    def _unlink_path(self, neighbor: int, edge_types: frozenset[int]) -> None:
+        """Remove ``neighbor`` from the trie path of ``edge_types``, pruning empty nodes.
+
+        Every neighbour on a node's inverted list passes through that node,
+        so a node whose list becomes empty has no descendants left either.
+        """
+        level = self._roots
+        for edge_type in sorted(edge_types):
+            node = level[edge_type]
+            node.neighbors.discard(neighbor)
+            if not node.neighbors:
+                del level[edge_type]
+                return
+            level = node.children
+
+    def _discard_posting(self, edge_type: int, neighbor: int) -> None:
+        posting = self._postings[edge_type]
+        posting.discard(neighbor)
+        if not posting:
+            del self._postings[edge_type]
+            self._arrays.pop(edge_type, None)
+            return
+        array = self._arrays.get(edge_type)
+        if array is not None:
+            position = np.searchsorted(array, neighbor)
+            self._arrays[edge_type] = np.delete(array, position)
 
     def neighbors_with(self, edge_types: Iterable[int]) -> set[int]:
         """Return neighbours whose multi-edge contains every type in ``edge_types``."""
@@ -140,23 +195,28 @@ class NeighborhoodIndex:
             self._outgoing[vertex] = outgoing
         return self
 
-    def refresh_vertex(self, graph: Multigraph, vertex: int) -> None:
-        """Rebuild the OTIL pair of one vertex from the current graph adjacency.
+    def add_vertex(self, vertex: int) -> None:
+        """Register a brand-new vertex with empty tries (no-op when known)."""
+        if vertex not in self._incoming:
+            self._incoming[vertex] = Otil()
+            self._outgoing[vertex] = Otil()
 
-        An edge change between ``u`` and ``v`` only alters the tries of
-        ``u`` and ``v`` (an OTIL indexes the multi-edges *incident on its
-        vertex*), so refreshing the two endpoints after every insert/delete
-        keeps the whole index exact in O(degree) per endpoint — no offline
-        rebuild.  Also registers brand-new vertices with empty tries.
+    def update_edge(self, graph: Multigraph, source: int, target: int) -> None:
+        """Re-index the multi-edge ``source -> target`` from the current graph.
+
+        An OTIL indexes the multi-edges *incident on its vertex*, so a
+        changed ``source -> target`` pair edits exactly one entry of
+        ``N-(source)`` and one of ``N+(target)``: O(|multi-edge|) per
+        changed pair, independent of either endpoint's degree.  Both
+        endpoints must already be registered (:meth:`add_vertex`).
         """
-        incoming = Otil()
-        for neighbor, types in graph.in_neighbors(vertex).items():
-            incoming.insert(neighbor, types)
-        outgoing = Otil()
-        for neighbor, types in graph.out_neighbors(vertex).items():
-            outgoing.insert(neighbor, types)
-        self._incoming[vertex] = incoming
-        self._outgoing[vertex] = outgoing
+        types = graph.edge_types(source, target)
+        if types:
+            self._outgoing[source].insert(target, types)
+            self._incoming[target].insert(source, types)
+        else:
+            self._outgoing[source].remove(target)
+            self._incoming[target].remove(source)
 
     def neighbors(self, vertex: int, direction: str, edge_types: Iterable[int]) -> set[int]:
         """Return neighbours of ``vertex`` reachable via ``edge_types`` in ``direction``.

@@ -46,12 +46,6 @@ class TripleDelta:
         """True for a resource-triple (edge) delta."""
         return self.edge_type is not None
 
-    def touched_vertices(self) -> tuple[int, ...]:
-        """Vertices whose incident edges changed (signature/OTIL refresh set)."""
-        if self.target is None:
-            return (self.source,)
-        return (self.source, self.target)
-
 
 @dataclass
 class DataMultigraph:

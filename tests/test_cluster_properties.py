@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_exactness import assert_indexes_exact, warm_index_caches
 from repro import AmberEngine, IRI, Literal, Triple
 from repro.cluster import ShardedEngine, partition_data
 
@@ -39,7 +40,12 @@ _literal_triples = st.builds(
 _triples = st.one_of(_resource_triples, _literal_triples)
 
 _initial = st.lists(_triples, max_size=20)
-_ops = st.lists(st.tuples(st.sampled_from(["insert", "delete"]), _triples), max_size=40)
+#: ``drop`` deletes the ``pick``-th present triple: a random delete rarely
+#: names a present one, so shrinking multi-edges would seldom be drawn.
+_ops = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "drop"]), _triples, st.integers(0, 63)),
+    max_size=40,
+)
 
 #: Query battery covering the shapes the scatter–gather path distinguishes:
 #: single stars, chains that need star joins, satellites with attributes,
@@ -59,6 +65,8 @@ QUERIES = [
 ]
 
 SHARD_COUNT = 3
+#: Run the battery on the cluster after every this many operations.
+WARM_EVERY = 5
 
 
 def _multiset(engine, query) -> Counter:
@@ -77,11 +85,26 @@ def test_sharded_engine_tracks_single_engine(initial, ops):
         executor="serial",
     )
 
-    for action, triple in ops:
+    shadow = set(initial)
+    for step, (action, triple, pick) in enumerate(ops):
+        if step % WARM_EVERY == 0:
+            # Warm the shards' CSRs and posting arrays so that later
+            # mutations patch cached arrays rather than build fresh ones.
+            for query in QUERIES:
+                sharded.query(query)
+            for shard in sharded.shards:
+                warm_index_caches(shard)
+        if action == "drop":
+            if not shadow:
+                continue
+            triple = sorted(shadow, key=lambda t: t.n3())[pick % len(shadow)]
+            action = "delete"
         if action == "insert":
             assert single.insert_triples([triple]) == sharded.insert_triples([triple])
+            shadow.add(triple)
         else:
             assert single.delete_triples([triple]) == sharded.delete_triples([triple])
+            shadow.discard(triple)
 
     assert single.data.triple_count == sharded.data.triple_count
     assert single.statistics() == sharded.statistics()
@@ -98,3 +121,4 @@ def test_sharded_engine_tracks_single_engine(initial, ops):
         for vertex in rebuilt.graph.vertices():
             assert maintained.data.graph.attributes(vertex) == rebuilt.graph.attributes(vertex)
         assert maintained.data.triple_count == rebuilt.triple_count
+        assert_indexes_exact(maintained)

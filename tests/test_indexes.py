@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from index_exactness import assert_columnar_exact, assert_otil_equal
 from repro.index.attribute_index import AttributeIndex
+from repro.index.columnar import ColumnarEdges
 from repro.index.manager import IndexSet
 from repro.index.neighborhood import NeighborhoodIndex, Otil
 from repro.index.signature_index import SignatureIndex
@@ -266,6 +268,128 @@ class TestOtil:
         otil = Otil()
         otil.insert(10, [])
         assert len(otil) == 0
+
+    def test_reinsert_replaces_the_old_multi_edge(self):
+        otil = Otil()
+        otil.insert(10, [1, 2])
+        otil.insert(11, [1])
+        assert otil.posting_array(2).tolist() == [10]  # memoised before the edit
+        otil.insert(10, [3])
+        assert otil.multi_edge(10) == frozenset({3})
+        assert otil.neighbors_with({1}) == {11}
+        assert otil.neighbors_with({2}) == set()
+        assert otil.neighbors_with({3}) == {10}
+        assert otil.posting_array(1).tolist() == [11]
+        assert otil.posting_array(2).tolist() == []
+        assert_otil_equal(otil, _fresh_otil({10: [3], 11: [1]}))
+
+    def test_reinsert_extends_and_shrinks_a_shared_path(self):
+        otil = Otil()
+        otil.insert(10, [1, 2])
+        otil.insert(11, [1, 2, 3])
+        for edge_type in (1, 2, 3):
+            otil.posting_array(edge_type)
+        otil.insert(10, [1, 2, 4])
+        otil.insert(11, [1])
+        assert otil.neighbors_with({1, 2}) == {10}
+        assert otil.neighbors_with({3}) == set()
+        assert_otil_equal(otil, _fresh_otil({10: [1, 2, 4], 11: [1]}))
+
+    def test_remove_prunes_empty_nodes_and_patches_arrays(self):
+        otil = Otil()
+        otil.insert(10, [1, 2])
+        otil.insert(11, [1, 3])
+        otil.insert(12, [4])
+        for edge_type in (1, 2, 3, 4):
+            otil.posting_array(edge_type)
+        otil.remove(11)
+        otil.remove(99)  # absent: no-op
+        assert otil.node_count() == 3  # 1 -> 2, and 4
+        assert otil.neighbors_with({1}) == {10}
+        assert otil.posting_array(1).tolist() == [10]
+        assert otil.posting_array(3).tolist() == []
+        assert_otil_equal(otil, _fresh_otil({10: [1, 2], 12: [4]}))
+        otil.remove(10)
+        otil.remove(12)
+        assert otil.node_count() == 0 and len(otil) == 0
+        assert_otil_equal(otil, Otil())
+
+
+def _fresh_otil(multi_edges: dict[int, list[int]]) -> Otil:
+    otil = Otil()
+    for neighbor, edge_types in multi_edges.items():
+        otil.insert(neighbor, edge_types)
+    return otil
+
+
+def _random_graph(rng: random.Random, vertices: int, edges: int) -> Multigraph:
+    graph = Multigraph()
+    for vertex in range(vertices):
+        graph.add_vertex(vertex)
+    for _ in range(edges):
+        source, target = rng.sample(range(vertices), 2)
+        graph.add_edge(source, target, rng.randrange(4))
+    return graph
+
+
+class TestColumnarEdges:
+    def test_one_pass_build_matches_the_adjacency(self):
+        graph = _random_graph(random.Random(5), 30, 120)
+        columnar = ColumnarEdges()
+        for edge_type in range(5):
+            for direction in (INCOMING, OUTGOING):
+                indptr, neighbors, keys = columnar.csr(graph, edge_type, direction)
+                stride = columnar.stride(graph)
+                for vertex in graph.vertices():
+                    adjacent = (
+                        graph.in_neighbors(vertex)
+                        if direction == INCOMING
+                        else graph.out_neighbors(vertex)
+                    )
+                    expected = sorted(n for n, types in adjacent.items() if edge_type in types)
+                    row = slice(indptr[vertex], indptr[vertex + 1])
+                    assert neighbors[row].tolist() == expected
+                    assert keys[row].tolist() == [vertex * stride + n for n in expected]
+
+    def test_unknown_direction_is_rejected(self):
+        with pytest.raises(ValueError):
+            ColumnarEdges().csr(Multigraph(), 0, "sideways")
+
+    def test_patches_match_a_fresh_build_under_churn(self):
+        rng = random.Random(11)
+        graph = _random_graph(rng, 20, 60)
+        columnar = ColumnarEdges()
+        columnar.csr(graph, 0, OUTGOING)
+        for _ in range(30):
+            changed = []
+            for _ in range(rng.randrange(1, 5)):
+                source, target = rng.sample(range(20), 2)
+                edge_type = rng.randrange(6)  # types 4 and 5 are new
+                if graph.has_edge(source, target, edge_type):
+                    graph.remove_edge(source, target, edge_type)
+                else:
+                    graph.add_edge(source, target, edge_type)
+                changed.append((source, target, edge_type))
+            columnar.apply(graph, changed, ())
+            assert_columnar_exact(columnar, graph)
+
+    def test_new_vertices_past_the_capacity_grow_and_rekey(self):
+        graph = _random_graph(random.Random(3), 10, 30)
+        columnar = ColumnarEdges()
+        columnar.csr(graph, 1, INCOMING)
+        stride = columnar.stride(graph)
+        inside = stride - 1  # within the headroom: nothing re-keyed
+        graph.add_edge(inside, 0, 1)
+        before = dict(columnar._csr)
+        columnar.apply(graph, [(inside, 0, 1)], [inside])
+        assert columnar.stride(graph) == stride
+        assert all(columnar._csr[key] is csr for key, csr in before.items() if key[0] != 1)
+        assert_columnar_exact(columnar, graph)
+        beyond = 5 * stride
+        graph.add_edge(beyond, inside, 2)
+        columnar.apply(graph, [(beyond, inside, 2)], [beyond])
+        assert columnar.stride(graph) > beyond
+        assert_columnar_exact(columnar, graph)
 
 
 class TestIndexSet:

@@ -2,46 +2,14 @@
 
 import pytest
 
+from index_exactness import assert_indexes_exact, warm_index_caches
 from repro import AmberEngine, IRI, Literal, Triple, UpdateError
-from repro.index.attribute_index import AttributeIndex
-from repro.index.neighborhood import NeighborhoodIndex
-from repro.index.signature_index import SignatureIndex
-from repro.index.synopsis import data_synopsis, signature_of
+from repro.index.columnar import ColumnarEdges
+from repro.index.neighborhood import Otil
 
 X = "http://dbpedia.org/resource/"
 Y = "http://dbpedia.org/ontology/"
 E = "http://example.org/"
-
-
-def assert_indexes_exact(engine: AmberEngine) -> None:
-    """Assert every maintained index equals a fresh build on the same graph."""
-    graph = engine.data.graph
-    fresh_attributes = AttributeIndex(graph)
-    assert engine.indexes.attributes._postings == fresh_attributes._postings
-    for vertex in graph.vertices():
-        expected = data_synopsis(signature_of(graph, vertex))
-        assert engine.indexes.signatures.synopsis(vertex) == expected
-    fresh_signatures = SignatureIndex(graph)
-    probes = [
-        ([], []),
-        ([], [frozenset({0})]),
-        ([frozenset({0})], []),
-        ([frozenset({0, 1})], [frozenset({1})]),
-    ]
-    for incoming, outgoing in probes:
-        maintained = engine.indexes.signatures.candidates(incoming, outgoing)
-        assert maintained == fresh_signatures.candidates(incoming, outgoing)
-        assert maintained == engine.indexes.signatures.candidates_scan(incoming, outgoing)
-    fresh_neighborhoods = NeighborhoodIndex(graph)
-    edge_types = sorted(graph.distinct_edge_types())[:4] or [0]
-    for vertex in graph.vertices():
-        for direction in "+-":
-            for edge_type in edge_types:
-                maintained = engine.indexes.neighborhoods.neighbors(
-                    vertex, direction, [edge_type]
-                )
-                expected = fresh_neighborhoods.neighbors(vertex, direction, [edge_type])
-                assert maintained == expected
 
 
 @pytest.fixture()
@@ -253,4 +221,80 @@ class TestIndexGrowth:
         engine.insert_triples([Triple(IRI(E + "lonely"), IRI(E + "name"), Literal("L"))])
         rows = engine.query(f'SELECT ?s WHERE {{ ?s <{E}name> "L" . }}')
         assert len(rows) == 1
+        assert_indexes_exact(engine)
+
+
+class TestMaintenanceCost:
+    """Per-edge maintenance: counted with spies, never timed."""
+
+    HUB_DEGREE = 2000
+
+    @pytest.fixture()
+    def hub_engine(self):
+        hub = IRI(E + "hub")
+        triples = [Triple(hub, IRI(E + "link"), IRI(f"{E}n{i}")) for i in range(self.HUB_DEGREE)]
+        triples += [
+            Triple(IRI(f"{E}n{i}"), IRI(f"{E}kind{i % 5}"), IRI(f"{E}n{i + 1}")) for i in range(50)
+        ]
+        engine = AmberEngine.from_triples(triples)
+        # Warm every CSR and posting array before mutating.
+        engine.query(f"SELECT ?n WHERE {{ <{E}hub> <{E}link> ?n . ?n <{E}kind0> ?m . }}")
+        assert engine.indexes.columnar._csr
+        warm_index_caches(engine)
+        return engine
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"insert": 0, "build": 0}
+        insert, build = Otil.insert, ColumnarEdges._build
+
+        def counting_insert(self, *args):
+            calls["insert"] += 1
+            return insert(self, *args)
+
+        def counting_build(self, *args):
+            calls["build"] += 1
+            return build(self, *args)
+
+        monkeypatch.setattr(Otil, "insert", counting_insert)
+        monkeypatch.setattr(ColumnarEdges, "_build", counting_build)
+        return calls
+
+    def _untouched(self, engine, before, edge_type):
+        csr = engine.indexes.columnar._csr
+        return [key for key, arrays in before.items() if key[0] != edge_type and csr[key] is arrays]
+
+    @pytest.mark.parametrize("operation", ["INSERT", "DELETE"])
+    def test_one_edge_on_a_hub_is_constant_work(self, hub_engine, monkeypatch, operation):
+        engine = hub_engine
+        link = engine.data.edge_type_id(IRI(E + "link"))
+        target = "n7" if operation == "DELETE" else "n3"
+        if operation == "INSERT":
+            engine.apply_update(f"DELETE DATA {{ <{E}hub> <{E}link> <{E}{target}> }}")
+        before = dict(engine.indexes.columnar._csr)
+        calls = self._spy(monkeypatch)
+        result = engine.apply_update(f"{operation} DATA {{ <{E}hub> <{E}link> <{E}{target}> }}")
+        assert result.changed
+        assert calls["insert"] <= 2
+        assert calls["build"] == 0
+        hub = engine.indexes.neighborhoods.otil(engine.data.vertex_id(IRI(E + "hub")), "-")
+        assert link in hub._arrays  # the memoised posting array was patched, not dropped
+        others = [key for key in before if key[0] != link]
+        assert self._untouched(engine, before, link) == others
+        assert_indexes_exact(engine)
+
+    def test_a_new_vertex_drops_no_cached_csr(self, hub_engine, monkeypatch):
+        engine = hub_engine
+        before = dict(engine.indexes.columnar._csr)
+        calls = self._spy(monkeypatch)
+        engine.apply_update(f'INSERT DATA {{ <{E}fresh> <{E}name> "new" }}')
+        assert calls == {"insert": 0, "build": 0}
+        assert set(engine.indexes.columnar._csr) == set(before)
+        assert all(engine.indexes.columnar._csr[key] is csr for key, csr in before.items())
+        engine.apply_update(f"INSERT DATA {{ <{E}fresh2> <{E}kind1> <{E}hub> }}")
+        assert calls["build"] == 0 and calls["insert"] <= 2
+        kind1 = engine.data.edge_type_id(IRI(E + "kind1"))
+        assert set(engine.indexes.columnar._csr) == set(before)
+        others = [key for key in before if key[0] != kind1]
+        assert self._untouched(engine, before, kind1) == others
         assert_indexes_exact(engine)
