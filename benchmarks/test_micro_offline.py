@@ -2,8 +2,8 @@
 
 These are conventional pytest-benchmark timings (multiple rounds) of the
 individual index structures, complementing the end-to-end Table 5 run:
-multigraph construction, synopsis matrix build, OTIL build and the two hot
-index probes used during matching.
+multigraph construction, synopsis matrix build, neighbourhood CSR build and
+the two hot index probes used during matching.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench import build_dataset
 from repro.index.attribute_index import AttributeIndex
-from repro.index.neighborhood import NeighborhoodIndex
+from repro.index.columnar import ColumnarEdges
 from repro.index.signature_index import SignatureIndex
 from repro.multigraph.builder import build_data_multigraph
 from repro.multigraph.query_graph import INCOMING
@@ -41,9 +41,9 @@ def test_micro_signature_index_build(benchmark, yago_data):
 
 
 def test_micro_neighborhood_index_build(benchmark, yago_data):
-    """OTIL (N+/N-) construction for every vertex."""
-    index = benchmark(lambda: NeighborhoodIndex(yago_data.graph))
-    assert len(index) == yago_data.graph.vertex_count()
+    """Neighbourhood index N: the CSR of every (edge type, direction)."""
+    index = benchmark(lambda: ColumnarEdges(yago_data.graph))
+    assert index.posting_entries() == 2 * yago_data.graph.multi_edge_count()
 
 
 def test_micro_attribute_index_build(benchmark, yago_data):
@@ -62,8 +62,8 @@ def test_micro_signature_probe(benchmark, yago_data):
 
 
 def test_micro_neighborhood_probe(benchmark, yago_data):
-    """Neighbourhood expansion through the OTIL index (hot online path)."""
-    index = NeighborhoodIndex(yago_data.graph)
+    """Neighbourhood expansion through N's CSR rows (hot online path)."""
+    index = ColumnarEdges(yago_data.graph)
     # Pick the highest in-degree vertex: the worst case for an expansion probe.
     hub = max(yago_data.graph.vertices(), key=yago_data.graph.in_degree)
     edge_type = next(iter(next(iter(yago_data.graph.in_neighbors(hub).values()))))

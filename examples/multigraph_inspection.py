@@ -103,8 +103,8 @@ def main() -> None:
     print(f"  attribute index: {indexes.attributes.attribute_count()} attributes, "
           f"{indexes.attributes.memory_items()} postings")
     print(f"  signature index: {len(indexes.signatures)} synopses, one matrix row each")
-    print(f"  neighbourhood index: {len(indexes.neighborhoods)} OTIL pairs, "
-          f"{indexes.neighborhoods.memory_items()} trie nodes")
+    print(f"  neighbourhood index: {indexes.neighborhoods.posting_entries()} CSR postings "
+          "(each typed edge once per direction)")
 
     print("\n=== Query decomposition (Figures 2 and 4) ===")
     query = parse_sparql(QUERY)

@@ -21,7 +21,7 @@ from ..index.manager import IndexSet
 from ..multigraph.builder import DataMultigraph, build_data_multigraph
 from ..multigraph.query_graph import QueryMultigraph, build_query_multigraph
 from ..rdf.dataset import TripleStore
-from ..rdf.ntriples import parse_ntriples, parse_ntriples_file
+from ..rdf.ntriples import parse_ntriples
 from ..rdf.terms import Triple
 from ..rdf.turtle import parse_turtle
 from ..sparql.algebra import GroupGraphPattern, SelectQuery
@@ -866,8 +866,13 @@ class AmberEngine(QueryEngineBase):
         config: MatcherConfig | None = None,
         backend: str | MatchBackend | None = None,
     ) -> "AmberEngine":
-        """Build the engine from an ``.nt`` file."""
-        return cls.from_triples(parse_ntriples_file(path), config=config, backend=backend)
+        """Build the engine from an ``.nt`` file.
+
+        The file is parsed as a stream straight into the multigraph, so no
+        triple list is alive while the indexes are built.
+        """
+        with open(path, "r", encoding="utf-8") as handle:
+            return cls.from_triples(parse_ntriples(handle), config=config, backend=backend)
 
     @classmethod
     def from_turtle(

@@ -4,17 +4,17 @@ The paper builds the multigraph and the index ensemble ``I = {A, S, N}``
 once, offline.  This module makes the engine *writable*: a
 :class:`GraphMutator` applies triple-level inserts and deletes to the
 :class:`~repro.multigraph.builder.DataMultigraph` and incrementally
-maintains every index so that vertex signatures, synopses, OTIL tries and
-attribute postings stay exactly what a from-scratch build on the mutated
-triple set would produce (rebuild equivalence — asserted by the property
-tests).
+maintains every index so that vertex synopses, the CSR adjacency of ``N``
+and attribute postings stay exactly what a from-scratch build on the
+mutated triple set would produce (rebuild equivalence — asserted by the
+property tests).
 
-Maintenance cost per triple is local: an edge change edits one OTIL entry
-of each endpoint and the two CSRs of its edge type, and refreshes the
-synopses of its two endpoints; an attribute change touches one inverted
-list.  The signature index overwrites the synopsis row of each
-refreshed vertex in place and appends rows for new vertices
-(see :class:`~repro.index.signature_index.SignatureIndex`).
+Maintenance cost per triple is local: an edge change patches the two CSRs
+of its edge type and refreshes the synopses of its two endpoints; an
+attribute change touches one inverted list.  The signature index
+overwrites the synopsis row of each refreshed vertex in place and appends
+rows for new vertices (see
+:class:`~repro.index.signature_index.SignatureIndex`).
 
 Thread safety: the mutator (like the engine) performs no locking of its
 own.  Concurrent readers must be excluded while a mutation is applied —
@@ -173,10 +173,10 @@ class GraphMutator:
         Attribute postings are edited per delta (exact and O(1)).  Edge
         deltas and new vertices are collected and handed to
         :meth:`IndexSet.apply_edge_changes` once at the end of the batch:
-        it edits one OTIL entry per endpoint of each changed pair, patches
-        the CSRs of each changed edge type and recomputes each touched
-        vertex's synopsis once, however many triples of the batch touch it
-        — a bulk LOAD around a hub vertex stays linear in its size.
+        it patches the two CSRs of each changed edge type and recomputes
+        each touched vertex's synopsis once, however many triples of the
+        batch touch it — a bulk LOAD around a hub vertex stays linear in
+        its size.
         """
         edges: list[tuple[int, int, int]] = []
         new_vertices: list[int] = []

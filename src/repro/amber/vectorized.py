@@ -127,17 +127,15 @@ class VectorizedMatcher(MultigraphMatcher):
         anchor_data_vertex: int,
         target_query_vertex: int,
     ) -> set[int]:
-        """Batch-intersect the anchor's per-type OTIL posting arrays."""
+        """Batch-intersect the anchor's per-type CSR rows (zero-copy views)."""
         pairs = self._required_pairs(qgraph, anchor_query_vertex, target_query_vertex)
         if not pairs:
             return set()
-        arrays = []
-        for direction, edge_type in pairs:
-            try:
-                otil = self.indexes.neighborhoods.otil(anchor_data_vertex, direction)
-            except KeyError:
-                return set()
-            arrays.append(otil.posting_array(edge_type))
+        neighborhoods = self.indexes.neighborhoods
+        arrays = [
+            neighborhoods.row(anchor_data_vertex, edge_type, direction)
+            for direction, edge_type in pairs
+        ]
         profile = current_profile()
         if profile is not None:
             profile.count("index.neighborhood_probes", len(arrays))
@@ -191,8 +189,6 @@ class VectorizedMatcher(MultigraphMatcher):
     def _columnar_frontier(
         self, qgraph: QueryMultigraph, component: set[int], deadline: Deadline
     ) -> ColumnarSolutions:
-        graph = self.data.graph
-
         if self.config.use_satellite_decomposition:
             decomposition = decompose_query(qgraph, component)
         else:
@@ -242,7 +238,7 @@ class VectorizedMatcher(MultigraphMatcher):
             for satellite in attached:
                 deadline.check()
                 pairs = self._required_pairs(qgraph, core_vertex, satellite)
-                rows, cands = self._anchored_candidates(graph, unique, pairs, refined(satellite))
+                rows, cands = self._anchored_candidates(unique, pairs, refined(satellite))
                 counts = np.bincount(rows, minlength=len(unique))
                 indptr = np.zeros(len(unique) + 1, dtype=np.int64)
                 np.cumsum(counts, out=indptr[1:])
@@ -281,7 +277,7 @@ class VectorizedMatcher(MultigraphMatcher):
                 cands = np.tile(cands, len(states))
             else:
                 rows, cands = self._frontier_candidates(
-                    graph, qgraph, states, ordered_core, anchor_columns, vertex, narrowed
+                    qgraph, states, ordered_core, anchor_columns, vertex, narrowed
                 )
             states = np.hstack([states[rows], cands.reshape(-1, 1)])
             if states.size > MAX_STATE_CELLS:
@@ -337,7 +333,7 @@ class VectorizedMatcher(MultigraphMatcher):
         )
         return pairs
 
-    def _anchored_candidates(self, graph, anchors, pairs, narrowed):
+    def _anchored_candidates(self, anchors, pairs, narrowed):
         """Candidates per anchor for one target vertex, batched over anchors.
 
         Expands the cheapest constraint's CSR slices, then masks by pair
@@ -345,11 +341,11 @@ class VectorizedMatcher(MultigraphMatcher):
         candidate array.  Returns ``(rows, cands)`` with ``rows`` indexing
         into ``anchors``; blocks are anchor-ordered and sorted within.
         """
-        columnar = self.indexes.columnar
-        sizes = [len(columnar.csr(graph, t, d)[1]) for d, t in pairs]
+        columnar = self.indexes.neighborhoods
+        sizes = [len(columnar.csr(t, d)[1]) for d, t in pairs]
         primary = sizes.index(min(sizes))
         d0, t0 = pairs[primary][0], pairs[primary][1]
-        rows, cands = columnar.slice_neighbors(graph, anchors, t0, d0)
+        rows, cands = columnar.slice_neighbors(anchors, t0, d0)
         profile = current_profile()
         if profile is not None:
             profile.count("index.neighborhood_probes", len(pairs))
@@ -360,7 +356,7 @@ class VectorizedMatcher(MultigraphMatcher):
         for at, (direction, edge_type) in enumerate(pairs):
             if at == primary:
                 continue
-            mask &= columnar.pair_mask(graph, anchors[rows], cands, edge_type, direction)
+            mask &= columnar.pair_mask(anchors[rows], cands, edge_type, direction)
         if narrowed is not None:
             mask &= in_sorted(narrowed, cands)
         if profile is not None:
@@ -369,7 +365,7 @@ class VectorizedMatcher(MultigraphMatcher):
         return rows[mask], cands[mask]
 
     def _frontier_candidates(
-        self, graph, qgraph, states, ordered_core, anchor_columns, vertex, narrowed
+        self, qgraph, states, ordered_core, anchor_columns, vertex, narrowed
     ):
         """Expand every state by the next core vertex's candidates at once.
 
@@ -379,7 +375,7 @@ class VectorizedMatcher(MultigraphMatcher):
         anchor — filters the expanded pairs by batched key membership,
         mirroring the scalar ``_candidates_from_matched`` intersection.
         """
-        columnar = self.indexes.columnar
+        columnar = self.indexes.neighborhoods
         constraints = [
             (column, direction, edge_type)
             for column in anchor_columns
@@ -387,12 +383,12 @@ class VectorizedMatcher(MultigraphMatcher):
                 qgraph, ordered_core[column], vertex
             )
         ]
-        sizes = [len(columnar.csr(graph, t, d)[1]) for _, d, t in constraints]
+        sizes = [len(columnar.csr(t, d)[1]) for _, d, t in constraints]
         primary = sizes.index(min(sizes))
         column0, d0, t0 = constraints[primary]
-        if columnar.slice_count(graph, states[:, column0], t0, d0) > MAX_EXPANSION:
+        if columnar.slice_count(states[:, column0], t0, d0) > MAX_EXPANSION:
             raise _FrontierOverflow
-        rows, cands = columnar.slice_neighbors(graph, states[:, column0], t0, d0)
+        rows, cands = columnar.slice_neighbors(states[:, column0], t0, d0)
         profile = current_profile()
         if profile is not None:
             profile.count("index.neighborhood_probes", len(constraints))
@@ -404,7 +400,7 @@ class VectorizedMatcher(MultigraphMatcher):
             if at == primary:
                 continue
             sources = states[rows, column]
-            mask &= columnar.pair_mask(graph, sources, cands, edge_type, direction)
+            mask &= columnar.pair_mask(sources, cands, edge_type, direction)
         if narrowed is not None:
             mask &= in_sorted(narrowed, cands)
         if profile is not None:

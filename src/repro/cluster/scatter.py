@@ -264,7 +264,7 @@ def match_star(
 
     Root candidates come from the shard's signature index refined by the
     root's attribute/IRI constraints (Algorithm 1); leaves are resolved
-    through the root's OTIL tries refined by their attribute sets only —
+    through the root's neighbourhood index rows refined by their attribute sets only —
     leaf IRI constraints belong to the leaf's own star, where they are
     shard-local, and applying them here against a partial halo
     neighbourhood could wrongly prune.

@@ -1,8 +1,8 @@
 """Index structures ``I = {A, S, N}`` (Section 4 of the paper)."""
 
 from .attribute_index import AttributeIndex
+from .columnar import ColumnarEdges
 from .manager import IndexBuildReport, IndexSet, build_indexes
-from .neighborhood import NeighborhoodIndex, Otil, OtilNode
 from .signature_index import SignatureIndex
 from .synopsis import (
     SYNOPSIS_FIELDS,
@@ -12,14 +12,13 @@ from .synopsis import (
     query_synopsis,
     side_features,
     signature_of,
+    vertex_synopsis,
 )
 
 __all__ = [
     "AttributeIndex",
     "SignatureIndex",
-    "NeighborhoodIndex",
-    "Otil",
-    "OtilNode",
+    "ColumnarEdges",
     "IndexSet",
     "IndexBuildReport",
     "build_indexes",
@@ -28,6 +27,7 @@ __all__ = [
     "signature_of",
     "side_features",
     "data_synopsis",
+    "vertex_synopsis",
     "query_synopsis",
     "dominates",
 ]

@@ -1,18 +1,27 @@
-"""Columnar (numpy) views over the index ensemble for the vectorized backend.
+"""The neighbourhood index ``N`` (Section 4.3) as CSR adjacency over numpy.
 
-The scalar matcher works on Python sets; the vectorized backend works on
-**sorted int64 posting arrays** and batch set algebra (`np.intersect1d`,
-`searchsorted` membership).  This module holds the shared numpy plumbing:
+The paper keeps two OTIL tries per data vertex (``N+`` for incoming
+edges, ``N-`` for outgoing ones) to answer one question: given a matched
+data vertex ``v``, a direction and a required multi-edge ``T'``, which
+neighbours ``v'`` share a multi-edge ``⊇ T'`` with ``v``?  Here that
+question is answered by **CSR row intersection**: one CSR per
+``(edge type, direction)`` over the dense vertex-id space, whose row ``v``
+is the sorted list of neighbours reaching ``v`` through that type.  The
+neighbours carrying every type of ``T'`` are the intersection of the
+rows of those types — exactly the OTIL's answer, which the differential
+tests and ``assert_indexes_exact`` keep honest.
 
-* sorted-array helpers (:func:`as_sorted_array`, :func:`intersect_sorted`,
-  :func:`in_sorted`);
-* :class:`ColumnarEdges` — lazily built CSR adjacency per
-  ``(edge type, direction)`` over the dense vertex-id space, with the
-  sorted ``(source, neighbour)`` pair keys used for batched multi-edge
-  verification.  Every CSR is built in one vectorized pass on first use;
-  SPARQL UPDATE then patches only the two CSRs of each changed edge's type
-  (:meth:`ColumnarEdges.apply`), so the arrays stay exactly what a fresh
-  build on the mutated graph would produce.
+Both backends read the same arrays: the scalar matcher through
+:meth:`ColumnarEdges.neighbors` (Python sets), the vectorized backend
+through zero-copy row views, batched CSR gathers and the sorted
+``(source, neighbour)`` pair keys used for multi-edge verification.
+
+This module also holds the shared sorted-array helpers
+(:func:`as_sorted_array`, :func:`intersect_sorted`, :func:`in_sorted`).
+Every CSR is built in one vectorized pass when the index set is built;
+SPARQL UPDATE then patches only the two CSRs of each changed edge's type
+(:meth:`ColumnarEdges.apply`), so the arrays stay exactly what a fresh
+build on the mutated graph would produce.
 """
 
 from __future__ import annotations
@@ -73,46 +82,80 @@ def _empty_csr(stride: int) -> tuple:
     return np.zeros(stride + 1, dtype=np.int64), empty, empty
 
 
+def _check_direction(direction: str) -> None:
+    if direction not in (INCOMING, OUTGOING):
+        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+
+
 class ColumnarEdges:
     """CSR adjacency per ``(edge type, direction)`` over dense vertex ids.
 
-    For direction ``'+'`` row ``v`` lists the neighbours ``n`` with an edge
-    ``n -> v`` of the given type; for ``'-'`` the neighbours ``v`` points
-    to — the same sign convention as
-    :meth:`repro.index.neighborhood.NeighborhoodIndex.neighbors`.  Rows are
-    ascending and sorted within, so concatenated CSR slices preserve the
-    scalar matcher's ``sorted(candidates)`` emission order, and the global
+    ``direction`` follows the paper's sign convention relative to the
+    vertex being expanded: for ``'+'`` row ``v`` lists the neighbours
+    ``n`` with an edge ``n -> v`` of the given type; for ``'-'`` the
+    neighbours ``v`` points to.  Rows are ascending and sorted within, so
+    concatenated CSR slices preserve the scalar matcher's
+    ``sorted(candidates)`` emission order, and the global
     ``source * stride + neighbour`` key array is itself sorted — batched
     pair membership is one ``searchsorted``.
 
-    Every array is replaced, never written in place, so a tuple handed to a
-    reader stays valid while a writer patches the cache.
+    Every array is replaced, never written in place, so a tuple or row
+    view handed to a reader stays valid while a writer patches the index.
     """
 
-    def __init__(self) -> None:
-        #: ``(edge type, direction) -> (indptr, neighbors, pair_keys)``;
-        #: None until the first read builds every key at once.
-        self._csr: dict[tuple[int, str], tuple] | None = None
+    def __init__(self, graph: Multigraph) -> None:
+        #: The live graph; only the empty-type-set probe reads it.
+        self._graph = graph
+        #: ``(edge type, direction) -> (indptr, neighbors, pair_keys)``.
+        self._csr: dict[tuple[int, str], tuple] = {}
         self._stride = 0
         self._empty: tuple = ()
+        self._build(graph)
 
-    def stride(self, graph: Multigraph) -> int:
+    @property
+    def stride(self) -> int:
         """The pair-key stride: the row capacity, past the largest vertex id."""
-        if self._csr is None:
-            self._build(graph)
         return self._stride
 
-    def csr(self, graph: Multigraph, edge_type: int, direction: str):
+    def csr(self, edge_type: int, direction: str):
         """Return ``(indptr, neighbors, pair_keys)`` for one (type, direction).
 
-        The first call builds every key from the live adjacency; an edge
-        type without edges yields an empty CSR.
+        An edge type without edges yields an empty CSR.
         """
-        if direction not in (INCOMING, OUTGOING):
-            raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-        if self._csr is None:
-            self._build(graph)
+        _check_direction(direction)
         return self._csr.get((edge_type, direction), self._empty)
+
+    def row(self, vertex: int, edge_type: int, direction: str):
+        """Zero-copy sorted view of ``vertex``'s neighbours through ``edge_type``."""
+        indptr, neighbors, _ = self.csr(edge_type, direction)
+        if vertex >= self._stride:
+            return neighbors[:0]
+        return neighbors[indptr.item(vertex) : indptr.item(vertex + 1)]
+
+    def neighbors(self, vertex: int, direction: str, edge_types: Iterable[int]) -> set[int]:
+        """Neighbours of ``vertex`` whose multi-edge in ``direction`` ⊇ ``edge_types``.
+
+        The Section 4.3 OTIL query, answered by intersecting the sorted
+        CSR rows of the required types, smallest first.  An empty type set
+        returns every neighbour on that side (from the graph adjacency); a
+        type without edges returns the empty set.
+        """
+        rows = sorted((self.row(vertex, t, direction) for t in edge_types), key=len)
+        if not rows:
+            _check_direction(direction)
+            graph = self._graph
+            side = graph.in_neighbors if direction == INCOMING else graph.out_neighbors
+            return set(side(vertex))
+        result = set(rows[0].tolist())
+        for other in rows[1:]:
+            if not result:
+                break
+            result.intersection_update(other.tolist())
+        return result
+
+    def posting_entries(self) -> int:
+        """Total neighbours over every row: 2 × Σ|multi-edge| (the size report)."""
+        return sum(len(neighbors) for _, neighbors, _ in self._csr.values())
 
     def _build(self, graph: Multigraph) -> None:
         """Build the CSR of every (type, direction) in one pass over the edges."""
@@ -130,6 +173,7 @@ class ColumnarEdges:
         src = np.repeat(np.asarray(sources, dtype=np.int64), widths)
         dst = np.repeat(np.asarray(targets, dtype=np.int64), widths)
         typ = np.asarray(types, dtype=np.int64)
+        del sources, targets, widths, types  # free the Python lists before sorting
         row_ids = np.arange(stride + 1, dtype=np.int64)
         built: dict[tuple[int, str], tuple] = {}
         for direction, rows, neighbors in ((OUTGOING, src, dst), (INCOMING, dst, src)):
@@ -150,18 +194,15 @@ class ColumnarEdges:
     # incremental maintenance (dynamic updates)
     # ------------------------------------------------------------------ #
     def apply(self, graph: Multigraph, edges, new_vertices) -> None:
-        """Patch the cached CSRs for a batch of changed edges.
+        """Patch the CSRs for a batch of changed edges.
 
         ``edges`` holds ``(source, target, edge type)`` triples whose
         presence may have changed; ``graph`` holds their final state.  Only
         the ``'+'`` and ``'-'`` CSRs of each changed type are touched:
         ``np.insert``/``np.delete`` on their neighbours and pair keys and
         ±1 on the tail of ``indptr``.  A vertex id past the row capacity
-        grows and re-keys every CSR.  Before the first read nothing is
-        cached and there is nothing to patch.
+        grows and re-keys every CSR.
         """
-        if self._csr is None:
-            return
         top = max(new_vertices, default=-1)
         if top >= self._stride:
             self._grow(top + 1)
@@ -211,22 +252,25 @@ class ColumnarEdges:
         self._stride = stride
         self._empty = _empty_csr(stride)
 
-    def slice_count(self, graph: Multigraph, anchors, edge_type: int, direction: str) -> int:
+    # ------------------------------------------------------------------ #
+    # batched reads (vectorized backend)
+    # ------------------------------------------------------------------ #
+    def slice_count(self, anchors, edge_type: int, direction: str) -> int:
         """The pair count :meth:`slice_neighbors` would produce, without gathering."""
         if not len(anchors):
             return 0
-        indptr, _, _ = self.csr(graph, edge_type, direction)
+        indptr, _, _ = self.csr(edge_type, direction)
         return int((indptr[anchors + 1] - indptr[anchors]).sum())
 
-    def slice_neighbors(self, graph: Multigraph, anchors, edge_type: int, direction: str):
+    def slice_neighbors(self, anchors, edge_type: int, direction: str):
         """Batched CSR gather: the neighbours of every anchor, concatenated.
 
         Returns ``(rows, candidates)`` where ``rows[i]`` is the index into
         ``anchors`` that ``candidates[i]`` belongs to.  Row blocks follow
         anchor order and are sorted within — the vectorized analogue of
-        iterating ``sorted(neighbors_with(...))`` anchor by anchor.
+        iterating ``sorted(neighbors(...))`` anchor by anchor.
         """
-        indptr, neighbors, _ = self.csr(graph, edge_type, direction)
+        indptr, neighbors, _ = self.csr(edge_type, direction)
         starts = indptr[anchors]
         counts = indptr[anchors + 1] - starts
         total = int(counts.sum())
@@ -240,7 +284,7 @@ class ColumnarEdges:
         within = np.arange(total, dtype=np.int64) - run_starts[rows]
         return rows, neighbors[starts[rows] + within]
 
-    def pair_mask(self, graph: Multigraph, sources, targets, edge_type: int, direction: str):
+    def pair_mask(self, sources, targets, edge_type: int, direction: str):
         """Boolean mask: which ``(source, target)`` pairs carry ``edge_type``."""
-        _, _, keys = self.csr(graph, edge_type, direction)
-        return in_sorted(keys, sources * self.stride(graph) + targets)
+        _, _, keys = self.csr(edge_type, direction)
+        return in_sorted(keys, sources * self._stride + targets)

@@ -1,4 +1,8 @@
-"""The index ensemble ``I = {A, S, N}`` built during the offline stage."""
+"""The index ensemble ``I = {A, S, N}`` built during the offline stage.
+
+``N`` is the CSR adjacency of :class:`~repro.index.columnar.ColumnarEdges`:
+both match backends read it, and updates patch it per changed edge.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ from dataclasses import dataclass
 from ..multigraph.builder import DataMultigraph
 from .attribute_index import AttributeIndex
 from .columnar import ColumnarEdges
-from .neighborhood import NeighborhoodIndex
 from .signature_index import SignatureIndex
 
 __all__ = ["IndexSet", "IndexBuildReport", "build_indexes"]
@@ -16,7 +19,12 @@ __all__ = ["IndexSet", "IndexBuildReport", "build_indexes"]
 
 @dataclass
 class IndexBuildReport:
-    """Timing and size information for Table 5 (offline stage)."""
+    """Timing and size information for Table 5 (offline stage).
+
+    The item counts are the stored index entries: attribute postings,
+    synopsis rows, and CSR posting entries of ``N`` (each ``(edge, type)``
+    pair once per direction, i.e. 2 × Σ|multi-edge|).
+    """
 
     attribute_seconds: float
     signature_seconds: float
@@ -43,16 +51,15 @@ class IndexSet:
         self,
         attributes: AttributeIndex,
         signatures: SignatureIndex,
-        neighborhoods: NeighborhoodIndex,
+        neighborhoods: ColumnarEdges,
         report: IndexBuildReport | None = None,
     ):
         self.attributes = attributes
         self.signatures = signatures
+        #: ``N``: CSR adjacency per (edge type, direction), patched per edge
+        #: on update.
         self.neighborhoods = neighborhoods
         self.report = report
-        #: Columnar CSR adjacency per (edge type, direction), built on the
-        #: vectorized backend's first read and patched per edge on update.
-        self.columnar = ColumnarEdges()
 
     @classmethod
     def build(cls, data: DataMultigraph) -> "IndexSet":
@@ -68,7 +75,7 @@ class IndexSet:
         signature_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        neighborhoods = NeighborhoodIndex(graph)
+        neighborhoods = ColumnarEdges(graph)
         neighborhood_seconds = time.perf_counter() - start
 
         report = IndexBuildReport(
@@ -77,7 +84,7 @@ class IndexSet:
             neighborhood_seconds=neighborhood_seconds,
             attribute_items=attributes.memory_items(),
             signature_items=len(signatures),
-            neighborhood_items=neighborhoods.memory_items(),
+            neighborhood_items=neighborhoods.posting_entries(),
         )
         return cls(attributes, signatures, neighborhoods, report)
 
@@ -89,22 +96,18 @@ class IndexSet:
 
         Called once per batch by :class:`repro.amber.mutation.GraphMutator`
         with the ``(source, target, edge type)`` triples it inserted or
-        deleted and the vertices it created.  Each changed vertex pair edits
-        one OTIL entry per endpoint, each changed edge type patches its two
-        CSRs, and the synopsis of every touched vertex is recomputed once,
-        so ``S``, ``N`` and the CSRs stay exact without an offline rebuild.
-        The attribute index is maintained directly via
+        deleted and the vertices it created.  Each changed edge type patches
+        its two CSRs of ``N`` and the synopsis of every touched vertex is
+        recomputed once, so ``S`` and ``N`` stay exact without an offline
+        rebuild.  The attribute index is maintained directly via
         :meth:`AttributeIndex.add` / :meth:`AttributeIndex.remove`.
         """
         touched = set(new_vertices)
-        for vertex in touched:
-            self.neighborhoods.add_vertex(vertex)
-        for source, target in {(source, target) for source, target, _ in edges}:
-            self.neighborhoods.update_edge(graph, source, target)
+        for source, target, _ in edges:
             touched.update((source, target))
         for vertex in touched:
             self.signatures.refresh(graph, vertex)
-        self.columnar.apply(graph, edges, new_vertices)
+        self.neighborhoods.apply(graph, edges, new_vertices)
 
 
 def build_indexes(data: DataMultigraph) -> IndexSet:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..multigraph.graph import Multigraph
-from .synopsis import SYNOPSIS_FIELDS, data_synopsis, dominates, query_synopsis, signature_of
+from .synopsis import SYNOPSIS_FIELDS, dominates, query_synopsis, vertex_synopsis
 
 __all__ = ["SignatureIndex"]
 
@@ -38,7 +38,7 @@ class SignatureIndex:
     def build(self, graph: Multigraph) -> "SignatureIndex":
         """Compute every vertex synopsis into a fresh matrix."""
         vertices = list(graph.vertices())
-        synopses = [data_synopsis(signature_of(graph, vertex)) for vertex in vertices]
+        synopses = [vertex_synopsis(graph, vertex) for vertex in vertices]
         self._matrix = np.array(synopses, dtype=np.float64).reshape(-1, SYNOPSIS_FIELDS)
         self._vertices = np.array(vertices, dtype=np.int64)
         self._rows = {vertex: row for row, vertex in enumerate(vertices)}
@@ -55,7 +55,7 @@ class SignatureIndex:
                 self._vertices = np.resize(self._vertices, capacity)
             self._rows[vertex] = row
             self._vertices[row] = vertex
-        self._matrix[row] = data_synopsis(signature_of(graph, vertex))
+        self._matrix[row] = vertex_synopsis(graph, vertex)
 
     def synopsis(self, vertex: int) -> tuple[float, ...]:
         """Return the stored synopsis of ``vertex``."""

@@ -30,6 +30,7 @@ __all__ = [
     "signature_of",
     "side_features",
     "data_synopsis",
+    "vertex_synopsis",
     "query_synopsis",
     "dominates",
 ]
@@ -85,6 +86,33 @@ def side_features(multi_edges: Iterable[frozenset[int]]) -> tuple[float, float, 
 def data_synopsis(signature: VertexSignature) -> tuple[float, ...]:
     """Return the 8-field synopsis of a *data* vertex signature."""
     return side_features(signature.incoming) + side_features(signature.outgoing)
+
+
+def _adjacency_features(adjacent: dict[int, set[int]]) -> tuple[float, float, float, float]:
+    """:func:`side_features` read straight off one side's ``{neighbour: types}``."""
+    if not adjacent:
+        return (0.0, 0.0, 0.0, 0.0)
+    multi_edges = adjacent.values()
+    all_types = set().union(*multi_edges)
+    return (
+        float(max(map(len, multi_edges))),
+        float(len(all_types)),
+        float(-min(all_types)),
+        float(max(all_types)),
+    )
+
+
+def vertex_synopsis(graph: Multigraph, vertex: int) -> tuple[float, ...]:
+    """``data_synopsis(signature_of(graph, vertex))`` without building the signature.
+
+    The synopsis only needs the widest multi-edge and the union of types
+    per side, so it is computed from the adjacency sets directly — no
+    frozenset per neighbour.  This is what the signature index builds and
+    refreshes with.
+    """
+    return _adjacency_features(graph.in_neighbors(vertex)) + _adjacency_features(
+        graph.out_neighbors(vertex)
+    )
 
 
 def query_synopsis(

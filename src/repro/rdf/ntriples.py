@@ -44,6 +44,19 @@ _LITERAL_RE = re.compile(
     r"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^<([^<>\s]+)>)?"  # lang tag or datatype
 )
 
+#: One whole statement: subject, predicate, object, ``.``, built from the
+#: term patterns above.  Each term is an atomic group, so it commits to the
+#: same span the term-by-term parser's ``match`` takes (a greedy blank-node
+#: label never gives back a ``.``).  Only ``[ \t]`` separates terms; any
+#: line this does not match goes through the term-by-term parser, which
+#: accepts it or raises the usual error.
+_STATEMENT_RE = re.compile(
+    rf"[ \t]*(?>{_IRI_RE.pattern}|{_BNODE_RE.pattern})"
+    rf"[ \t]*(?>{_IRI_RE.pattern})"
+    rf"[ \t]*(?>{_IRI_RE.pattern}|{_BNODE_RE.pattern}|{_LITERAL_RE.pattern})"
+    r"[ \t]*\.[ \t]*\r?\n?"
+)
+
 _ESCAPES = {
     "\\n": "\n",
     "\\r": "\r",
@@ -129,16 +142,41 @@ def parse_ntriples(source: str | TextIO | Iterable[str]) -> Iterator[Triple]:
     """Yield triples from an N-Triples document.
 
     ``source`` may be a string containing the whole document, an open text
-    file, or any iterable of lines.
+    file, or any iterable of lines.  A well-formed line is parsed by one
+    whole-statement regex; any other line (blank, comment, unusual
+    whitespace, or malformed) goes through :func:`parse_ntriples_line`,
+    which yields the same triples and raises the same errors.
     """
     if isinstance(source, str):
         lines: Iterable[str] = io.StringIO(source)
     else:
         lines = source
+    # Per-document interning: every mention of an IRI shares one object.
+    iris: dict[str, IRI] = {}
+
+    def iri(value: str) -> IRI:
+        term = iris.get(value)
+        if term is None:
+            term = iris[value] = IRI(value)
+        return term
+
+    statement = _STATEMENT_RE.fullmatch
     for line_number, line in enumerate(lines, start=1):
-        triple = parse_ntriples_line(line, line_number)
-        if triple is not None:
-            yield triple
+        match = statement(line)
+        if match is None:
+            triple = parse_ntriples_line(line, line_number)
+            if triple is not None:
+                yield triple
+            continue
+        s_iri, s_bnode, predicate, o_iri, o_bnode, value, language, datatype = match.groups()
+        subject = iri(s_iri) if s_iri is not None else BlankNode(s_bnode)
+        if o_iri is not None:
+            obj = iri(o_iri)
+        elif o_bnode is not None:
+            obj = BlankNode(o_bnode)
+        else:
+            obj = Literal(_unescape(value), datatype=datatype, language=language)
+        yield Triple(subject, iri(predicate), obj)
 
 
 def parse_ntriples_file(path: str | Path) -> list[Triple]:

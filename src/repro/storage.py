@@ -30,7 +30,7 @@ from .amber.matching import MatcherConfig
 from .index.manager import IndexSet
 from .multigraph.builder import DataMultigraph, build_data_multigraph
 from .multigraph.dictionaries import GraphDictionaries
-from .rdf.ntriples import parse_ntriples_file
+from .rdf.ntriples import parse_ntriples
 from .rdf.terms import IRI, BlankNode, Literal
 from .rdf.turtle import parse_turtle
 
@@ -203,7 +203,8 @@ def load_data_auto(path: str | Path) -> tuple[DataMultigraph, int]:
         document = _read_document(path)
         return _data_from_document(document), int(document.get("data_version", 0))
     if suffix in (".nt", ".ntriples"):
-        return build_data_multigraph(parse_ntriples_file(path)), 0
+        with open(path, "r", encoding="utf-8") as handle:
+            return build_data_multigraph(parse_ntriples(handle)), 0
     if suffix in (".ttl", ".turtle"):
         return build_data_multigraph(parse_turtle(path.read_text(encoding="utf-8"))), 0
     raise StorageError(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_exactness import assert_indexes_exact, warm_index_caches
+from index_exactness import assert_indexes_exact
 from repro import AmberEngine, IRI, Literal, Triple
 from repro.cluster import ShardedEngine, partition_data
 
@@ -88,12 +88,10 @@ def test_sharded_engine_tracks_single_engine(initial, ops):
     shadow = set(initial)
     for step, (action, triple, pick) in enumerate(ops):
         if step % WARM_EVERY == 0:
-            # Warm the shards' CSRs and posting arrays so that later
-            # mutations patch cached arrays rather than build fresh ones.
+            # Warm the shards' memoised attribute arrays and plans so that
+            # later mutations have cached state to keep exact.
             for query in QUERIES:
                 sharded.query(query)
-            for shard in sharded.shards:
-                warm_index_caches(shard)
         if action == "drop":
             if not shadow:
                 continue

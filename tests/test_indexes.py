@@ -1,16 +1,21 @@
 """Unit tests for the attribute index A, signature index S and neighbourhood index N."""
 
+import gc
 import random
+import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from index_exactness import assert_columnar_exact, assert_otil_equal
+from index_exactness import assert_columnar_exact, assert_indexes_exact
+from repro.datasets import DbpediaGenerator
 from repro.index.attribute_index import AttributeIndex
 from repro.index.columnar import ColumnarEdges
 from repro.index.manager import IndexSet
-from repro.index.neighborhood import NeighborhoodIndex, Otil
 from repro.index.signature_index import SignatureIndex
 from repro.index.synopsis import data_synopsis, dominates, query_synopsis, signature_of
+from repro.multigraph.builder import build_data_multigraph
 from repro.multigraph.graph import Multigraph
 from repro.multigraph.query_graph import INCOMING, OUTGOING
 from repro.rdf.terms import IRI
@@ -199,7 +204,7 @@ class TestSignatureMatrix:
 class TestNeighborhoodIndex:
     def test_incoming_lookup_matches_paper_example(self, paper_data):
         """Section 4.3: N+ of London for edge type wasBornIn gives Amy and Nolan."""
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         london = vid(paper_data, "London")
         t5 = eid(paper_data, "wasBornIn")
         assert index.neighbors(london, INCOMING, {t5}) == {
@@ -208,118 +213,119 @@ class TestNeighborhoodIndex:
         }
 
     def test_multi_edge_subset_lookup(self, paper_data):
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         london = vid(paper_data, "London")
         born, died = eid(paper_data, "wasBornIn"), eid(paper_data, "diedIn")
         assert index.neighbors(london, INCOMING, {born, died}) == {vid(paper_data, "Amy_Winehouse")}
 
     def test_outgoing_lookup(self, paper_data):
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         london = vid(paper_data, "London")
         has_stadium = eid(paper_data, "hasStadium")
         wembley = vid(paper_data, "WembleyStadium")
         assert index.neighbors(london, OUTGOING, {has_stadium}) == {wembley}
 
     def test_unknown_edge_type_gives_empty(self, paper_data):
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         assert index.neighbors(vid(paper_data, "London"), INCOMING, {9999}) == set()
 
     def test_unknown_vertex_gives_empty(self, paper_data):
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         assert index.neighbors(424242, INCOMING, {0}) == set()
+        assert index.neighbors(424242, INCOMING, set()) == set()
+        assert index.row(424242, 0, INCOMING).tolist() == []
 
     def test_invalid_direction_rejected(self, paper_data):
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         with pytest.raises(ValueError):
             index.neighbors(vid(paper_data, "London"), "sideways", {0})
+        with pytest.raises(ValueError):
+            index.csr(0, "sideways")
 
     def test_empty_edge_type_set_returns_all_neighbors(self, paper_data):
-        index = NeighborhoodIndex(paper_data.graph)
+        index = ColumnarEdges(paper_data.graph)
         london = vid(paper_data, "London")
         assert len(index.neighbors(london, INCOMING, set())) == 4
 
 
-class TestOtil:
-    def test_insert_and_subset_query(self):
-        otil = Otil()
-        otil.insert(10, [3, 1])
-        otil.insert(11, [1])
-        otil.insert(12, [2, 3])
-        assert otil.neighbors_with({1}) == {10, 11}
-        assert otil.neighbors_with({1, 3}) == {10}
-        assert otil.neighbors_with({4}) == set()
-        assert otil.neighbors_with(set()) == {10, 11, 12}
-
-    def test_multi_edge_lookup(self):
-        otil = Otil()
-        otil.insert(10, [3, 1])
-        assert otil.multi_edge(10) == frozenset({1, 3})
-        assert otil.multi_edge(99) == frozenset()
-
-    def test_trie_node_count(self):
-        otil = Otil()
-        otil.insert(10, [1, 2])
-        otil.insert(11, [1, 3])
-        # Paths 1->2 and 1->3 share the root node for edge type 1.
-        assert otil.node_count() == 3
-        assert otil.neighbor_count() == 2
-
-    def test_empty_insert_ignored(self):
-        otil = Otil()
-        otil.insert(10, [])
-        assert len(otil) == 0
-
-    def test_reinsert_replaces_the_old_multi_edge(self):
-        otil = Otil()
-        otil.insert(10, [1, 2])
-        otil.insert(11, [1])
-        assert otil.posting_array(2).tolist() == [10]  # memoised before the edit
-        otil.insert(10, [3])
-        assert otil.multi_edge(10) == frozenset({3})
-        assert otil.neighbors_with({1}) == {11}
-        assert otil.neighbors_with({2}) == set()
-        assert otil.neighbors_with({3}) == {10}
-        assert otil.posting_array(1).tolist() == [11]
-        assert otil.posting_array(2).tolist() == []
-        assert_otil_equal(otil, _fresh_otil({10: [3], 11: [1]}))
-
-    def test_reinsert_extends_and_shrinks_a_shared_path(self):
-        otil = Otil()
-        otil.insert(10, [1, 2])
-        otil.insert(11, [1, 2, 3])
-        for edge_type in (1, 2, 3):
-            otil.posting_array(edge_type)
-        otil.insert(10, [1, 2, 4])
-        otil.insert(11, [1])
-        assert otil.neighbors_with({1, 2}) == {10}
-        assert otil.neighbors_with({3}) == set()
-        assert_otil_equal(otil, _fresh_otil({10: [1, 2, 4], 11: [1]}))
-
-    def test_remove_prunes_empty_nodes_and_patches_arrays(self):
-        otil = Otil()
-        otil.insert(10, [1, 2])
-        otil.insert(11, [1, 3])
-        otil.insert(12, [4])
-        for edge_type in (1, 2, 3, 4):
-            otil.posting_array(edge_type)
-        otil.remove(11)
-        otil.remove(99)  # absent: no-op
-        assert otil.node_count() == 3  # 1 -> 2, and 4
-        assert otil.neighbors_with({1}) == {10}
-        assert otil.posting_array(1).tolist() == [10]
-        assert otil.posting_array(3).tolist() == []
-        assert_otil_equal(otil, _fresh_otil({10: [1, 2], 12: [4]}))
-        otil.remove(10)
-        otil.remove(12)
-        assert otil.node_count() == 0 and len(otil) == 0
-        assert_otil_equal(otil, Otil())
-
-
-def _fresh_otil(multi_edges: dict[int, list[int]]) -> Otil:
-    otil = Otil()
+def _star(multi_edges: dict[int, list[int]], center: int = 0) -> Multigraph:
+    """``center`` pointing at each neighbour through the given multi-edge."""
+    graph = Multigraph()
+    graph.add_vertex(center)
     for neighbor, edge_types in multi_edges.items():
-        otil.insert(neighbor, edge_types)
-    return otil
+        for edge_type in edge_types:
+            graph.add_edge(center, neighbor, edge_type)
+    return graph
+
+
+class TestNeighborsOverCsr:
+    """The OTIL's subset query (Section 4.3) answered by CSR row intersection."""
+
+    def test_subset_semantics(self):
+        graph = _star({10: [3, 1], 11: [1], 12: [2, 3]})
+        index = ColumnarEdges(graph)
+        assert index.neighbors(0, OUTGOING, {1}) == {10, 11}
+        assert index.neighbors(0, OUTGOING, {1, 3}) == {10}
+        assert index.neighbors(0, OUTGOING, {2, 3}) == {12}
+        assert index.neighbors(0, OUTGOING, {1, 2}) == set()
+        assert index.neighbors(10, INCOMING, {1, 3}) == {0}
+        assert index.neighbors(10, OUTGOING, {1}) == set()
+
+    def test_empty_type_set_gives_every_neighbor_on_that_side(self):
+        graph = _star({10: [3, 1], 11: [1], 12: [2, 3]})
+        index = ColumnarEdges(graph)
+        assert index.neighbors(0, OUTGOING, set()) == {10, 11, 12}
+        assert index.neighbors(0, INCOMING, set()) == set()
+        assert index.neighbors(12, INCOMING, ()) == {0}
+
+    def test_unknown_type_gives_empty(self):
+        index = ColumnarEdges(_star({10: [1]}))
+        assert index.neighbors(0, OUTGOING, {4}) == set()
+        assert index.neighbors(0, OUTGOING, {1, 4}) == set()
+
+    def test_rows_are_sorted_zero_copy_views(self):
+        index = ColumnarEdges(_star({12: [1], 10: [1, 2], 11: [1]}))
+        row = index.row(0, 1, OUTGOING)
+        assert row.tolist() == [10, 11, 12]
+        assert np.shares_memory(row, index.csr(1, OUTGOING)[1])  # a view, not a copy
+
+    def test_reinsert_with_a_different_multi_edge(self):
+        graph = _star({10: [1, 2], 11: [1]})
+        index = ColumnarEdges(graph)
+        graph.remove_edge(0, 10, 1)
+        graph.remove_edge(0, 10, 2)
+        graph.add_edge(0, 10, 3)
+        index.apply(graph, [(0, 10, 1), (0, 10, 2), (0, 10, 3)], ())
+        assert index.neighbors(0, OUTGOING, {1}) == {11}
+        assert index.neighbors(0, OUTGOING, {2}) == set()
+        assert index.neighbors(0, OUTGOING, {3}) == {10}
+        assert index.neighbors(10, INCOMING, set()) == {0}
+        assert_columnar_exact(index, graph)
+
+    def test_reinsert_extends_and_shrinks_a_shared_multi_edge(self):
+        graph = _star({10: [1, 2], 11: [1, 2, 3]})
+        index = ColumnarEdges(graph)
+        graph.add_edge(0, 10, 4)
+        graph.remove_edge(0, 11, 2)
+        graph.remove_edge(0, 11, 3)
+        index.apply(graph, [(0, 10, 4), (0, 11, 2), (0, 11, 3)], ())
+        assert index.neighbors(0, OUTGOING, {1, 2}) == {10}
+        assert index.neighbors(0, OUTGOING, {3}) == set()
+        assert index.neighbors(0, OUTGOING, {1}) == {10, 11}
+        assert_columnar_exact(index, graph)
+
+    def test_removing_every_edge_empties_the_rows(self):
+        graph = _star({10: [1, 2], 11: [1, 3], 12: [4]})
+        index = ColumnarEdges(graph)
+        removed = [(0, 10, 1), (0, 10, 2), (0, 11, 1), (0, 11, 3), (0, 12, 4)]
+        for source, target, edge_type in removed:
+            graph.remove_edge(source, target, edge_type)
+        index.apply(graph, removed, ())
+        for edge_type in (1, 2, 3, 4):
+            assert index.neighbors(0, OUTGOING, {edge_type}) == set()
+        assert index.neighbors(0, OUTGOING, set()) == set()
+        assert index.posting_entries() == 0
+        assert_columnar_exact(index, graph)
 
 
 def _random_graph(rng: random.Random, vertices: int, edges: int) -> Multigraph:
@@ -335,11 +341,11 @@ def _random_graph(rng: random.Random, vertices: int, edges: int) -> Multigraph:
 class TestColumnarEdges:
     def test_one_pass_build_matches_the_adjacency(self):
         graph = _random_graph(random.Random(5), 30, 120)
-        columnar = ColumnarEdges()
+        columnar = ColumnarEdges(graph)
+        stride = columnar.stride
         for edge_type in range(5):
             for direction in (INCOMING, OUTGOING):
-                indptr, neighbors, keys = columnar.csr(graph, edge_type, direction)
-                stride = columnar.stride(graph)
+                indptr, neighbors, keys = columnar.csr(edge_type, direction)
                 for vertex in graph.vertices():
                     adjacent = (
                         graph.in_neighbors(vertex)
@@ -350,16 +356,17 @@ class TestColumnarEdges:
                     row = slice(indptr[vertex], indptr[vertex + 1])
                     assert neighbors[row].tolist() == expected
                     assert keys[row].tolist() == [vertex * stride + n for n in expected]
+                    assert columnar.row(vertex, edge_type, direction).tolist() == expected
 
-    def test_unknown_direction_is_rejected(self):
-        with pytest.raises(ValueError):
-            ColumnarEdges().csr(Multigraph(), 0, "sideways")
+    def test_empty_graph_builds(self):
+        columnar = ColumnarEdges(Multigraph())
+        assert columnar.posting_entries() == 0
+        assert columnar.neighbors(0, OUTGOING, {1}) == set()
 
     def test_patches_match_a_fresh_build_under_churn(self):
         rng = random.Random(11)
         graph = _random_graph(rng, 20, 60)
-        columnar = ColumnarEdges()
-        columnar.csr(graph, 0, OUTGOING)
+        columnar = ColumnarEdges(graph)
         for _ in range(30):
             changed = []
             for _ in range(rng.randrange(1, 5)):
@@ -372,24 +379,25 @@ class TestColumnarEdges:
                 changed.append((source, target, edge_type))
             columnar.apply(graph, changed, ())
             assert_columnar_exact(columnar, graph)
+            assert columnar.posting_entries() == 2 * graph.multi_edge_count()
 
     def test_new_vertices_past_the_capacity_grow_and_rekey(self):
         graph = _random_graph(random.Random(3), 10, 30)
-        columnar = ColumnarEdges()
-        columnar.csr(graph, 1, INCOMING)
-        stride = columnar.stride(graph)
+        columnar = ColumnarEdges(graph)
+        stride = columnar.stride
         inside = stride - 1  # within the headroom: nothing re-keyed
         graph.add_edge(inside, 0, 1)
         before = dict(columnar._csr)
         columnar.apply(graph, [(inside, 0, 1)], [inside])
-        assert columnar.stride(graph) == stride
+        assert columnar.stride == stride
         assert all(columnar._csr[key] is csr for key, csr in before.items() if key[0] != 1)
         assert_columnar_exact(columnar, graph)
         beyond = 5 * stride
         graph.add_edge(beyond, inside, 2)
         columnar.apply(graph, [(beyond, inside, 2)], [beyond])
-        assert columnar.stride(graph) > beyond
+        assert columnar.stride > beyond
         assert_columnar_exact(columnar, graph)
+        assert columnar.neighbors(inside, INCOMING, {2}) == {beyond}
 
 
 class TestIndexSet:
@@ -399,4 +407,40 @@ class TestIndexSet:
         assert indexes.report.total_seconds >= 0
         assert indexes.report.total_items > 0
         assert len(indexes.signatures) == 9
-        assert len(indexes.neighborhoods) == 9
+        assert_indexes_exact(SimpleNamespace(data=paper_data, indexes=indexes))
+
+    def test_neighborhood_items_count_csr_postings(self, paper_data):
+        """Table 5's N items: one posting per (edge, type) and direction."""
+        indexes = IndexSet.build(paper_data)
+        multi_edges = sum(len(types) for _, _, types in paper_data.graph.edges())
+        assert indexes.report.neighborhood_items == 2 * multi_edges
+        assert indexes.neighborhoods.posting_entries() == 2 * multi_edges
+
+
+def _traced(build):
+    """``(result, retained bytes, peak bytes)`` of ``build()`` under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
+class TestMemoryGuard:
+    """The index ensemble costs no more memory than the data multigraph it indexes.
+
+    Deterministic: tracemalloc counts bytes allocated, not a timing.  With
+    the OTIL tries and their posting copies the ensemble traced ~2.9× the
+    multigraph on this dataset; with ``N`` as the CSR it is ~0.9× at peak.
+    """
+
+    def test_index_build_allocates_no_more_than_the_multigraph(self):
+        triples = DbpediaGenerator(entities_per_domain=60, seed=1).generate()
+        data, data_bytes, _ = _traced(lambda: build_data_multigraph(triples))
+        indexes, retained, peak = _traced(lambda: IndexSet.build(data))
+        assert retained <= data_bytes, (retained, data_bytes)
+        assert peak <= data_bytes, (peak, data_bytes)
+        assert indexes.report.neighborhood_items == 2 * data.graph.multi_edge_count()

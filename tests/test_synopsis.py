@@ -1,11 +1,15 @@
 """Unit tests for vertex signatures and synopses, validated against Table 3."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.index.synopsis import (
     data_synopsis,
     dominates,
     query_synopsis,
     side_features,
     signature_of,
+    vertex_synopsis,
 )
 from repro.multigraph.graph import Multigraph
 from repro.rdf.terms import IRI
@@ -108,3 +112,36 @@ class TestSynopses:
         # e.g. the stadium and the band.
         assert paper_vertex(paper_data, "WembleyStadium") not in candidates
         assert paper_vertex(paper_data, "Music_Band") not in candidates
+
+
+_edges = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 9)),
+    max_size=40,
+)
+
+
+class TestVertexSynopsis:
+    """The adjacency-read synopsis equals the signature route on every vertex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=_edges, isolated=st.integers(0, 3))
+    def test_equals_the_signature_oracle(self, edges, isolated):
+        graph = Multigraph()
+        for vertex in range(8, 8 + isolated):
+            graph.add_vertex(vertex)  # both sides empty
+        for source, target, edge_type in edges:
+            if source != target:
+                graph.add_edge(source, target, edge_type)
+        for vertex in graph.vertices():
+            expected = data_synopsis(signature_of(graph, vertex))
+            assert vertex_synopsis(graph, vertex) == expected
+
+    def test_one_empty_side(self):
+        graph = Multigraph()
+        graph.add_edge(0, 1, 4)
+        graph.add_edge(0, 1, 2)
+        graph.add_edge(0, 2, 7)
+        assert vertex_synopsis(graph, 0) == (0.0, 0.0, 0.0, 0.0, 2.0, 3.0, -2.0, 7.0)
+        assert vertex_synopsis(graph, 1) == (2.0, 2.0, -2.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+        for vertex in (0, 1, 2):
+            assert vertex_synopsis(graph, vertex) == data_synopsis(signature_of(graph, vertex))

@@ -4,15 +4,14 @@ The central invariant of the mutation subsystem: after ANY interleaving of
 inserts and deletes, the incrementally maintained engine is indistinguishable
 from a from-scratch :class:`AmberEngine` build on the final triple set —
 same query results, same counts, same index contents.  The query battery
-also runs every few operations, and every CSR and posting array is then
-memoised, so the caches are warm when later mutations arrive and a stale
-in-place patch would show.
+also runs every few operations, so memoised attribute arrays and plans are
+warm when later mutations arrive and a stale in-place patch would show.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_exactness import assert_indexes_exact, warm_index_caches
+from index_exactness import assert_indexes_exact
 from repro import AmberEngine, IRI, Literal, Triple
 
 E = "http://example.org/"
@@ -76,7 +75,6 @@ def test_rebuild_equivalence(initial, ops):
         if step % WARM_EVERY == 0:
             for query in QUERIES:
                 engine.query(query)
-            warm_index_caches(engine)
         if op == "drop":
             if not shadow:
                 continue
