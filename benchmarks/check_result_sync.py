@@ -31,6 +31,7 @@ PAIRS = {
     "service_throughput.txt": "BENCH_service_throughput.json",
     "table1_dbpedia_complex50.txt": "BENCH_table1_complex50.json",
     "shard_scaling_complex50.txt": "BENCH_shard_scaling.json",
+    "telemetry_overhead.txt": "BENCH_telemetry_overhead.json",
 }
 
 RESULTS_PREFIX = "benchmarks/results/"

@@ -30,8 +30,7 @@ from ..sparql.eval import BGPNode, compile_pattern, plan_outline, stream_plan
 from ..sparql.parser import parse_sparql
 from ..sparql.planner import QueryPlanner
 from ..sparql.update import UpdateRequest, parse_update
-from ..telemetry.accounting import QueryProfile, current_profile, start_profile
-from ..telemetry.trace import span
+from ..telemetry.record import QueryRecord, current_record, span, start_record
 from ..timing import Deadline, monotonic
 from .backend import MatchBackend, resolve_backend
 from .embeddings import columnar_bindings, combine_component_bindings, component_bindings
@@ -402,21 +401,24 @@ class QueryEngineBase:
     def _execute_analyze(
         self, query: str | SelectQuery, timeout_seconds: float | None
     ) -> dict:
-        """``EXPLAIN ANALYZE``: execute the query under a resource profile.
+        """``EXPLAIN ANALYZE``: execute the query and read its record back.
 
         The query runs through the *streamed* evaluation path (never the
         columnar whole-query shortcut) so that every plan operator is
         measured; the outline then carries both ``estimated_rows`` and the
-        ``actual_rows`` each operator produced, plus the full counter
+        ``actual_rows`` each operator produced, plus the record's counter
         profile (candidates, intersections, index probes, per-shard
-        sub-profiles on a sharded engine).
+        sub-records on a sharded engine).
 
-        A profile already active on this thread (the service's, when it
-        runs reads under ``profiling``) is reused instead of shadowed, so
-        the caller's slow-log/metrics wiring sees the analyze counters.
+        The record already active on this thread (the service's) is used
+        instead of shadowed, so the caller's slow-log/metrics wiring sees
+        the analyze counters; a library call gets a record of its own.
         """
+        record = current_record()
+        if record is None:
+            with start_record() as record:
+                return self._execute_analyze(query, timeout_seconds)
         parsed, plan = self.prepare(query)
-        profile = current_profile() or QueryProfile()
         streamed = 0
 
         def counting(stream: Iterator[Binding]) -> Iterator[Binding]:
@@ -425,28 +427,27 @@ class QueryEngineBase:
                 streamed += 1
                 yield row
 
-        with start_profile(profile):
-            with span("engine.match", backend=self.match_backend) as sp:
-                rows = counting(self._solutions(parsed, plan, timeout_seconds, None))
-                result = ResultSet.for_query(parsed, rows)
-                sp.annotate(rows=len(result))
-        self._record_estimate_feedback(plan, profile, streamed)
-        outline = self._annotated_outline(plan, profile, streamed)
+        with span("engine.match", backend=self.match_backend) as sp:
+            rows = counting(self._solutions(parsed, plan, timeout_seconds, None))
+            result = ResultSet.for_query(parsed, rows)
+            sp.annotate(rows=len(result))
+        self._record_estimate_feedback(plan, record, streamed)
+        outline = self._annotated_outline(plan, record, streamed)
         outline["match_backend"] = self.match_backend
         return {
             "plan": outline,
             "rows": len(result),
             "match_backend": self.match_backend,
-            "profile": profile.as_dict(),
+            "profile": record.profile(),
         }
 
     def _annotated_outline(
         self,
         plan: QueryMultigraph | AlgebraPlan,
-        profile: QueryProfile | None = None,
+        record: QueryRecord | None = None,
         streamed_rows: int | None = None,
     ) -> dict:
-        """Outline a prepared plan with estimates (and actuals, when profiled).
+        """Outline a prepared plan with estimates (and actuals from a record).
 
         The tree shape is backend-independent — both matching backends
         compile a query to the same operators, so only annotations such as
@@ -463,7 +464,7 @@ class QueryEngineBase:
                     return self.planner.corrected(decisions.shape, block.index, raw)
                 return raw
 
-            actuals = profile.operator_rows() if profile is not None else None
+            actuals = record.operator_rows() if record is not None else None
             outline = plan_outline(plan.root, estimator, actuals)
             extras = {
                 block.index: self._bgp_outline_extras(graph)
@@ -488,12 +489,12 @@ class QueryEngineBase:
         extra = self._bgp_outline_extras(plan)
         if extra:
             outline.update(extra)
-        if profile is not None:
+        if record is not None:
             outline["actual_rows"] = streamed_rows if streamed_rows is not None else 0
         return outline
 
     def _record_estimate_feedback(
-        self, plan, profile: QueryProfile, streamed_rows: int | None = None
+        self, plan, record: QueryRecord, streamed_rows: int | None = None
     ) -> None:
         """Feed measured block cardinalities back into the planner.
 
@@ -517,7 +518,7 @@ class QueryEngineBase:
         decisions = plan.decisions
         if decisions is None:
             return
-        actuals = profile.operator_rows()
+        actuals = record.operator_rows()
         feedback: dict[int, tuple[int, int]] = {}
         for block in plan.blocks:
             actual = actuals.get(block.node_id)

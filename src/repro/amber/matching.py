@@ -18,13 +18,13 @@ All index accesses go through ``I = {A, S, N}``:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..errors import QueryTimeout
 from ..index.manager import IndexSet
-from ..telemetry.accounting import current_profile
-from ..telemetry.trace import span
+from ..telemetry.record import QueryRecord, current_record, span
 from ..timing import Deadline
 from ..multigraph.builder import DataMultigraph
 from ..multigraph.query_graph import INCOMING, OUTGOING, QueryMultigraph, QueryVertex
@@ -66,17 +66,30 @@ class _MatchRun:
     on the matcher instance) makes a single :class:`MultigraphMatcher`
     reusable across queries and safe to share between threads: the matcher
     itself only holds immutable references (data, indexes, config).
+
+    The query record is looked up once per call.  The recursion tallies
+    its counters in ``tally`` (None when no record is active) and
+    :meth:`flush` writes them to the record in one call when the match
+    ends, so no per-candidate step touches the thread local.
     """
 
     deadline: Deadline
     limit: int | None
     emitted: int = 0
+    record: QueryRecord | None = None
+    tally: dict[str, int] | None = None
 
     def check(self) -> None:
         self.deadline.check()
 
     def limit_reached(self) -> bool:
         return self.limit is not None and self.emitted >= self.limit
+
+    def flush(self) -> None:
+        if self.record is not None:
+            if self.emitted:
+                self.tally["solutions.emitted"] += self.emitted
+            self.record.add(self.tally)
 
 
 @dataclass
@@ -149,11 +162,22 @@ class MultigraphMatcher:
         The matcher instance holds no per-query state, so one instance can
         serve many queries — including concurrently from multiple threads.
         """
+        record = current_record()
         run = _MatchRun(
             deadline=deadline if deadline is not None else Deadline(self.config.timeout_seconds),
             limit=self.config.max_solutions,
+            record=record,
+            tally=defaultdict(int) if record is not None else None,
         )
+        try:
+            yield from self._match(qgraph, component, run)
+        finally:
+            run.flush()
 
+    def _match(
+        self, qgraph: QueryMultigraph, component: set[int], run: _MatchRun
+    ) -> Iterator[ComponentSolution]:
+        tally = run.tally
         if self.config.use_satellite_decomposition:
             decomposition = decompose_query(qgraph, component)
         else:
@@ -171,16 +195,15 @@ class MultigraphMatcher:
         # span over the initial candidate generation captures the index
         # pruning cost and the starting candidate-set size.
         with span("amber.candidates", vertex=initial) as sp:
-            candidates = self._initial_candidates(qgraph, initial)
+            candidates = self._initial_candidates(qgraph, initial, tally)
             generated = len(candidates)
-            refined = self._process_vertex(qgraph.vertices[initial])
+            refined = self._process_vertex(qgraph.vertices[initial], tally)
             if refined is not None:
                 candidates &= refined
             sp.annotate(candidates=len(candidates))
-        profile = current_profile()
-        if profile is not None:
-            profile.count("candidates.generated", generated)
-            profile.count("candidates.pruned", generated - len(candidates))
+        if tally is not None:
+            tally["candidates.generated"] += generated
+            tally["candidates.pruned"] += generated - len(candidates)
         if not candidates:
             return
 
@@ -190,7 +213,7 @@ class MultigraphMatcher:
             solution = ComponentSolution(core={initial: candidate})
             if satellites_of_initial:
                 satellite_matches = self._match_satellites(
-                    qgraph, satellites_of_initial, initial, candidate
+                    qgraph, satellites_of_initial, initial, candidate, tally
                 )
                 if satellite_matches is None:
                     continue
@@ -213,28 +236,24 @@ class MultigraphMatcher:
     ) -> Iterator[ComponentSolution]:
         run.check()
         if depth == len(ordered_core):
-            emitted = solution.embedding_count()
-            run.emitted += emitted
-            profile = current_profile()
-            if profile is not None:
-                profile.count("solutions.emitted", emitted)
+            run.emitted += solution.embedding_count()
             yield solution
             return
 
+        tally = run.tally
         next_vertex = ordered_core[depth]
-        candidates = self._candidates_from_matched(qgraph, next_vertex, solution.core)
+        candidates = self._candidates_from_matched(qgraph, next_vertex, solution.core, tally)
         if candidates is None:
             # No matched neighbour constrains this vertex (disconnected core
             # structure); fall back to the signature index.
-            candidates = self._initial_candidates(qgraph, next_vertex)
+            candidates = self._initial_candidates(qgraph, next_vertex, tally)
         generated = len(candidates)
-        refined = self._process_vertex(qgraph.vertices[next_vertex])
+        refined = self._process_vertex(qgraph.vertices[next_vertex], tally)
         if refined is not None:
             candidates &= refined
-        profile = current_profile()
-        if profile is not None:
-            profile.count("candidates.generated", generated)
-            profile.count("candidates.pruned", generated - len(candidates))
+        if tally is not None:
+            tally["candidates.generated"] += generated
+            tally["candidates.pruned"] += generated - len(candidates)
         if not candidates:
             return
 
@@ -247,7 +266,7 @@ class MultigraphMatcher:
             new_solution.core[next_vertex] = candidate
             if satellites:
                 satellite_matches = self._match_satellites(
-                    qgraph, satellites, next_vertex, candidate
+                    qgraph, satellites, next_vertex, candidate, tally
                 )
                 if satellite_matches is None:
                     continue
@@ -260,13 +279,16 @@ class MultigraphMatcher:
 
     # ------------------------------------------------------------------ #
     # the MatchBackend matcher protocol: candidates / star-match / verify
-    # (used by the cluster scatter stage and by alternative backends)
+    # (used by the cluster scatter stage and by alternative backends).
+    # ``tally`` is the caller's counter tally (see ``_MatchRun``); None
+    # leaves the work uncounted.
     # ------------------------------------------------------------------ #
     def initial_candidates(
         self,
         qgraph: QueryMultigraph,
         vertex: int,
         within: set[int] | None = None,
+        tally: dict[str, int] | None = None,
     ) -> set[int]:
         """Signature-index candidates for ``vertex`` (Lemma 1 pruning).
 
@@ -277,7 +299,7 @@ class MultigraphMatcher:
         if within is not None and self.config.use_signature_index:
             incoming, outgoing = self._query_signature(qgraph, vertex)
             return self.indexes.signatures.candidates_among(within, incoming, outgoing)
-        found = self._initial_candidates(qgraph, vertex)
+        found = self._initial_candidates(qgraph, vertex, tally)
         if within is not None:
             found &= within
         return found
@@ -288,13 +310,14 @@ class MultigraphMatcher:
         satellites: list[int],
         core_vertex: int,
         data_vertex: int,
+        tally: dict[str, int] | None = None,
     ) -> dict[int, set[int]] | None:
         """Star-match: resolve the satellites of one matched core vertex.
 
         Returns one candidate set per satellite (the factored solution-set
         representation of Lemma 2), or None when any satellite has no match.
         """
-        return self._match_satellites(qgraph, satellites, core_vertex, data_vertex)
+        return self._match_satellites(qgraph, satellites, core_vertex, data_vertex, tally)
 
     def verify_embedding(self, qgraph: QueryMultigraph, embedding: dict[int, int]) -> bool:
         """Verify one full query-vertex -> data-vertex mapping edge by edge.
@@ -316,12 +339,14 @@ class MultigraphMatcher:
                 return False
         return True
 
-    def vertex_candidates(self, vertex: QueryVertex) -> set[int] | None:
+    def vertex_candidates(
+        self, vertex: QueryVertex, tally: dict[str, int] | None = None
+    ) -> set[int] | None:
         """Attribute/IRI-constraint candidates for ``vertex`` (Algorithm 1).
 
         ``None`` means the vertex is unconstrained (no pruning possible).
         """
-        return self._process_vertex(vertex)
+        return self._process_vertex(vertex, tally)
 
     def neighbor_candidates(
         self,
@@ -329,27 +354,29 @@ class MultigraphMatcher:
         anchor_query_vertex: int,
         anchor_data_vertex: int,
         target_query_vertex: int,
+        tally: dict[str, int] | None = None,
     ) -> set[int]:
         """Neighbourhood-index candidates for a vertex adjacent to a match."""
         return self._neighbor_candidates(
-            qgraph, anchor_query_vertex, anchor_data_vertex, target_query_vertex
+            qgraph, anchor_query_vertex, anchor_data_vertex, target_query_vertex, tally
         )
 
     # ------------------------------------------------------------------ #
     # Algorithm 1: ProcessVertex
     # ------------------------------------------------------------------ #
-    def _process_vertex(self, vertex: QueryVertex) -> set[int] | None:
+    def _process_vertex(
+        self, vertex: QueryVertex, tally: dict[str, int] | None = None
+    ) -> set[int] | None:
         """Return attribute/IRI candidates for ``vertex`` or None when unconstrained."""
         if vertex.unsatisfiable:
             return set()
         if not vertex.has_attributes and not vertex.has_iri_constraints:
             return None
-        profile = current_profile()
         candidates: set[int] | None = None
         if vertex.has_attributes:
             candidates = self.indexes.attributes.candidates(vertex.attributes)
-            if profile is not None:
-                profile.count("index.attribute_probes", len(vertex.attributes))
+            if tally is not None:
+                tally["index.attribute_probes"] += len(vertex.attributes)
             if not candidates:
                 return set()
         for constraint in vertex.iri_constraints:
@@ -358,10 +385,10 @@ class MultigraphMatcher:
             neighbors = self.indexes.neighborhoods.neighbors(
                 constraint.data_vertex, _flip(constraint.direction), constraint.edge_types
             )
-            if profile is not None:
-                profile.count("index.neighborhood_probes")
+            if tally is not None:
+                tally["index.neighborhood_probes"] += 1
                 if candidates is not None:
-                    profile.count("intersections")
+                    tally["intersections"] += 1
             candidates = neighbors if candidates is None else candidates & neighbors
             if not candidates:
                 return set()
@@ -376,19 +403,21 @@ class MultigraphMatcher:
         satellites: list[int],
         core_vertex: int,
         data_vertex: int,
+        tally: dict[str, int] | None = None,
     ) -> dict[int, set[int]] | None:
         """Resolve every satellite of ``core_vertex``; None when one has no match."""
-        profile = current_profile()
         matches: dict[int, set[int]] = {}
         for satellite in satellites:
-            candidates = self._neighbor_candidates(qgraph, core_vertex, data_vertex, satellite)
-            refined = self._process_vertex(qgraph.vertices[satellite])
+            candidates = self._neighbor_candidates(
+                qgraph, core_vertex, data_vertex, satellite, tally
+            )
+            refined = self._process_vertex(qgraph.vertices[satellite], tally)
             if refined is not None:
-                if profile is not None:
-                    profile.count("intersections")
+                if tally is not None:
+                    tally["intersections"] += 1
                 candidates &= refined
-            if profile is not None:
-                profile.count("satellites.resolved")
+            if tally is not None:
+                tally["satellites.resolved"] += 1
             if not candidates:
                 return None
             matches[satellite] = candidates
@@ -475,30 +504,34 @@ class MultigraphMatcher:
                 outgoing.append(constraint.edge_types)
         return incoming, outgoing
 
-    def _initial_candidates(self, qgraph: QueryMultigraph, vertex: int) -> set[int]:
+    def _initial_candidates(
+        self, qgraph: QueryMultigraph, vertex: int, tally: dict[str, int] | None = None
+    ) -> set[int]:
         """Candidates for the initial vertex from the signature index (or full scan)."""
         incoming, outgoing = self._query_signature(qgraph, vertex)
-        profile = current_profile()
-        if profile is not None:
-            profile.count("index.signature_probes")
+        if tally is not None:
+            tally["index.signature_probes"] += 1
         if self.config.use_signature_index:
             return self.indexes.signatures.candidates(incoming, outgoing)
         return set(self.data.graph.vertices())
 
     def _candidates_from_matched(
-        self, qgraph: QueryMultigraph, vertex: int, matched_core: dict[int, int]
+        self,
+        qgraph: QueryMultigraph,
+        vertex: int,
+        matched_core: dict[int, int],
+        tally: dict[str, int] | None = None,
     ) -> set[int] | None:
         """Intersect neighbourhood-index candidates from every matched neighbour."""
-        profile = current_profile()
         candidates: set[int] | None = None
         for neighbor_query_vertex, neighbor_data_vertex in matched_core.items():
             if vertex not in qgraph.graph.neighbors(neighbor_query_vertex):
                 continue
             neighbor_candidates = self._neighbor_candidates(
-                qgraph, neighbor_query_vertex, neighbor_data_vertex, vertex
+                qgraph, neighbor_query_vertex, neighbor_data_vertex, vertex, tally
             )
-            if profile is not None and candidates is not None:
-                profile.count("intersections")
+            if tally is not None and candidates is not None:
+                tally["intersections"] += 1
             candidates = (
                 neighbor_candidates if candidates is None else candidates & neighbor_candidates
             )
@@ -512,6 +545,7 @@ class MultigraphMatcher:
         anchor_query_vertex: int,
         anchor_data_vertex: int,
         target_query_vertex: int,
+        tally: dict[str, int] | None = None,
     ) -> set[int]:
         """Candidates for ``target_query_vertex`` given a matched anchor vertex.
 
@@ -519,7 +553,6 @@ class MultigraphMatcher:
         an edge ``target -> anchor`` is incoming at the anchor (``N+``), an
         edge ``anchor -> target`` is outgoing (``N-``).
         """
-        profile = current_profile()
         probes = 0
         candidates: set[int] | None = None
         types_in = qgraph.graph.edge_types(target_query_vertex, anchor_query_vertex)
@@ -530,10 +563,10 @@ class MultigraphMatcher:
         types_out = qgraph.graph.edge_types(anchor_query_vertex, target_query_vertex)
         if types_out:
             found = self.indexes.neighborhoods.neighbors(anchor_data_vertex, OUTGOING, types_out)
-            if candidates is not None and profile is not None:
-                profile.count("intersections")
+            if candidates is not None and tally is not None:
+                tally["intersections"] += 1
             candidates = found if candidates is None else candidates & found
             probes += 1
-        if profile is not None and probes:
-            profile.count("index.neighborhood_probes", probes)
+        if tally is not None and probes:
+            tally["index.neighborhood_probes"] += probes
         return candidates if candidates is not None else set()

@@ -24,14 +24,14 @@ uses that for lazily materialized result sets and O(1) counting.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterator
 
 import numpy as np
 
 from ..index.columnar import as_sorted_array, in_sorted, intersect_sorted
 from ..multigraph.query_graph import INCOMING, OUTGOING, QueryMultigraph, QueryVertex
-from ..telemetry.accounting import current_profile
-from ..telemetry.trace import span
+from ..telemetry.record import current_record, span
 from ..timing import Deadline
 from .decompose import QueryDecomposition, decompose_query
 from .matching import ComponentSolution, MultigraphMatcher, _flip
@@ -51,6 +51,9 @@ MAX_EXPANSION = 4_000_000
 
 #: Budget on the state matrix itself (``n_states * n_core`` cells).
 MAX_STATE_CELLS = 32_000_000
+
+#: The counter bumped each time a match call runs on the scalar DFS instead.
+FALLBACK_COUNTER = "matcher.scalar_fallbacks"
 
 
 class _FrontierOverflow(Exception):
@@ -116,8 +119,10 @@ class VectorizedMatcher(MultigraphMatcher):
     # ------------------------------------------------------------------ #
     # protocol methods on columnar postings (used by the cluster scatter)
     # ------------------------------------------------------------------ #
-    def vertex_candidates(self, vertex: QueryVertex) -> set[int] | None:
-        array = self._vertex_candidate_array(vertex)
+    def vertex_candidates(
+        self, vertex: QueryVertex, tally: dict[str, int] | None = None
+    ) -> set[int] | None:
+        array = self._vertex_candidate_array(vertex, tally)
         return None if array is None else set(array.tolist())
 
     def neighbor_candidates(
@@ -126,6 +131,7 @@ class VectorizedMatcher(MultigraphMatcher):
         anchor_query_vertex: int,
         anchor_data_vertex: int,
         target_query_vertex: int,
+        tally: dict[str, int] | None = None,
     ) -> set[int]:
         """Batch-intersect the anchor's per-type CSR rows (zero-copy views)."""
         pairs = self._required_pairs(qgraph, anchor_query_vertex, target_query_vertex)
@@ -136,11 +142,9 @@ class VectorizedMatcher(MultigraphMatcher):
             neighborhoods.row(anchor_data_vertex, edge_type, direction)
             for direction, edge_type in pairs
         ]
-        profile = current_profile()
-        if profile is not None:
-            profile.count("index.neighborhood_probes", len(arrays))
-            if len(arrays) > 1:
-                profile.count("intersections", len(arrays) - 1)
+        if tally is not None:
+            tally["index.neighborhood_probes"] += len(arrays)
+            tally["intersections"] += len(arrays) - 1
         return set(intersect_sorted(arrays).tolist())
 
     # ------------------------------------------------------------------ #
@@ -151,6 +155,7 @@ class VectorizedMatcher(MultigraphMatcher):
     ) -> Iterator[ComponentSolution]:
         limit = self.config.max_solutions
         if limit is not None and limit <= SMALL_LIMIT_CUTOFF:
+            _note_fallback("small_limit")
             yield from super().match_component(qgraph, component, deadline)
             return
         if deadline is None:
@@ -159,11 +164,12 @@ class VectorizedMatcher(MultigraphMatcher):
         if batch is None:
             # Over budget: stream through the scalar DFS, continuing under
             # the same deadline.
+            _note_fallback("frontier_budget")
             yield from super().match_component(qgraph, component, deadline)
             return
-        profile = current_profile()
-        if profile is not None:
-            profile.count("solutions.emitted", batch.total_embeddings())
+        record = current_record()
+        if record is not None:
+            record.count("solutions.emitted", batch.total_embeddings())
         yield from batch.iter_solutions(deadline)
 
     def match_component_columnar(
@@ -178,16 +184,28 @@ class VectorizedMatcher(MultigraphMatcher):
         The budget is :data:`MAX_EXPANSION` / :data:`MAX_STATE_CELLS`; such
         queries go back to the scalar DFS, which streams under the deadline
         instead of materialising the whole frontier.
+
+        The query record is looked up once here; the frontier tallies its
+        counters per depth and they reach the record in one write.
         """
         if deadline is None:
             deadline = Deadline(self.config.timeout_seconds)
+        record = current_record()
+        tally = defaultdict(int) if record is not None else None
         try:
-            return self._columnar_frontier(qgraph, component, deadline)
+            return self._columnar_frontier(qgraph, component, deadline, tally)
         except _FrontierOverflow:
             return None
+        finally:
+            if record is not None:
+                record.add(tally)
 
     def _columnar_frontier(
-        self, qgraph: QueryMultigraph, component: set[int], deadline: Deadline
+        self,
+        qgraph: QueryMultigraph,
+        component: set[int],
+        deadline: Deadline,
+        tally: dict[str, int] | None,
     ) -> ColumnarSolutions:
         if self.config.use_satellite_decomposition:
             decomposition = decompose_query(qgraph, component)
@@ -206,22 +224,23 @@ class VectorizedMatcher(MultigraphMatcher):
 
         def refined(vertex: int):
             if vertex not in refined_cache:
-                refined_cache[vertex] = self._vertex_candidate_array(qgraph.vertices[vertex])
+                refined_cache[vertex] = self._vertex_candidate_array(
+                    qgraph.vertices[vertex], tally
+                )
             return refined_cache[vertex]
 
-        profile = current_profile()
         with span("amber.candidates", vertex=initial, backend="vectorized") as sp:
-            first = as_sorted_array(self._initial_candidates(qgraph, initial))
+            first = as_sorted_array(self._initial_candidates(qgraph, initial, tally))
             generated = len(first)
             narrowed = refined(initial)
             if narrowed is not None:
                 first = intersect_sorted([first, narrowed])
             sp.annotate(candidates=len(first))
-        if profile is not None:
-            profile.count("candidates.generated", generated)
-            profile.count("candidates.pruned", generated - len(first))
+        if tally is not None:
+            tally["candidates.generated"] += generated
+            tally["candidates.pruned"] += generated - len(first)
             if narrowed is not None:
-                profile.count("intersections")
+                tally["intersections"] += 1
 
         states = first.reshape(-1, 1)
         satellites: list[list] = []
@@ -238,7 +257,7 @@ class VectorizedMatcher(MultigraphMatcher):
             for satellite in attached:
                 deadline.check()
                 pairs = self._required_pairs(qgraph, core_vertex, satellite)
-                rows, cands = self._anchored_candidates(unique, pairs, refined(satellite))
+                rows, cands = self._anchored_candidates(unique, pairs, refined(satellite), tally)
                 counts = np.bincount(rows, minlength=len(unique))
                 indptr = np.zeros(len(unique) + 1, dtype=np.int64)
                 np.cumsum(counts, out=indptr[1:])
@@ -268,7 +287,7 @@ class VectorizedMatcher(MultigraphMatcher):
             if not anchor_columns:
                 # Disconnected core structure: signature-index candidates
                 # cross every state, exactly the scalar fallback.
-                cands = as_sorted_array(self._initial_candidates(qgraph, vertex))
+                cands = as_sorted_array(self._initial_candidates(qgraph, vertex, tally))
                 if narrowed is not None:
                     cands = intersect_sorted([cands, narrowed])
                 if len(states) * max(len(cands), 1) > MAX_EXPANSION:
@@ -277,7 +296,7 @@ class VectorizedMatcher(MultigraphMatcher):
                 cands = np.tile(cands, len(states))
             else:
                 rows, cands = self._frontier_candidates(
-                    qgraph, states, ordered_core, anchor_columns, vertex, narrowed
+                    qgraph, states, ordered_core, anchor_columns, vertex, narrowed, tally
                 )
             states = np.hstack([states[rows], cands.reshape(-1, 1)])
             if states.size > MAX_STATE_CELLS:
@@ -293,18 +312,17 @@ class VectorizedMatcher(MultigraphMatcher):
     # ------------------------------------------------------------------ #
     # columnar candidate machinery
     # ------------------------------------------------------------------ #
-    def _vertex_candidate_array(self, vertex: QueryVertex):
+    def _vertex_candidate_array(self, vertex: QueryVertex, tally: dict[str, int] | None = None):
         """Algorithm 1 on posting arrays; None when the vertex is unconstrained."""
         if vertex.unsatisfiable:
             return np.empty(0, dtype=np.int64)
         if not vertex.has_attributes and not vertex.has_iri_constraints:
             return None
-        profile = current_profile()
         arrays = []
         if vertex.has_attributes:
             arrays.append(self.indexes.attributes.candidate_array(vertex.attributes))
-            if profile is not None:
-                profile.count("index.attribute_probes", len(vertex.attributes))
+            if tally is not None:
+                tally["index.attribute_probes"] += len(vertex.attributes)
         for constraint in vertex.iri_constraints:
             if constraint.data_vertex is None:
                 return np.empty(0, dtype=np.int64)
@@ -312,10 +330,10 @@ class VectorizedMatcher(MultigraphMatcher):
                 constraint.data_vertex, _flip(constraint.direction), constraint.edge_types
             )
             arrays.append(as_sorted_array(neighbors))
-            if profile is not None:
-                profile.count("index.neighborhood_probes")
-        if profile is not None and len(arrays) > 1:
-            profile.count("intersections", len(arrays) - 1)
+            if tally is not None:
+                tally["index.neighborhood_probes"] += 1
+        if tally is not None:
+            tally["intersections"] += len(arrays) - 1
         return intersect_sorted(arrays)
 
     @staticmethod
@@ -333,7 +351,7 @@ class VectorizedMatcher(MultigraphMatcher):
         )
         return pairs
 
-    def _anchored_candidates(self, anchors, pairs, narrowed):
+    def _anchored_candidates(self, anchors, pairs, narrowed, tally):
         """Candidates per anchor for one target vertex, batched over anchors.
 
         Expands the cheapest constraint's CSR slices, then masks by pair
@@ -346,10 +364,9 @@ class VectorizedMatcher(MultigraphMatcher):
         primary = sizes.index(min(sizes))
         d0, t0 = pairs[primary][0], pairs[primary][1]
         rows, cands = columnar.slice_neighbors(anchors, t0, d0)
-        profile = current_profile()
-        if profile is not None:
-            profile.count("index.neighborhood_probes", len(pairs))
-            profile.count("candidates.generated", len(cands))
+        if tally is not None:
+            tally["index.neighborhood_probes"] += len(pairs)
+            tally["candidates.generated"] += len(cands)
         if not len(cands):
             return rows, cands
         mask = np.ones(len(cands), dtype=bool)
@@ -359,13 +376,14 @@ class VectorizedMatcher(MultigraphMatcher):
             mask &= columnar.pair_mask(anchors[rows], cands, edge_type, direction)
         if narrowed is not None:
             mask &= in_sorted(narrowed, cands)
-        if profile is not None:
-            profile.count("intersections", len(pairs) - 1 + (1 if narrowed is not None else 0))
-            profile.count("candidates.pruned", int(len(cands) - mask.sum()))
-        return rows[mask], cands[mask]
+        kept_rows, kept = rows[mask], cands[mask]
+        if tally is not None:
+            tally["intersections"] += len(pairs) - 1 + (1 if narrowed is not None else 0)
+            tally["candidates.pruned"] += len(cands) - len(kept)
+        return kept_rows, kept
 
     def _frontier_candidates(
-        self, qgraph, states, ordered_core, anchor_columns, vertex, narrowed
+        self, qgraph, states, ordered_core, anchor_columns, vertex, narrowed, tally
     ):
         """Expand every state by the next core vertex's candidates at once.
 
@@ -389,10 +407,9 @@ class VectorizedMatcher(MultigraphMatcher):
         if columnar.slice_count(states[:, column0], t0, d0) > MAX_EXPANSION:
             raise _FrontierOverflow
         rows, cands = columnar.slice_neighbors(states[:, column0], t0, d0)
-        profile = current_profile()
-        if profile is not None:
-            profile.count("index.neighborhood_probes", len(constraints))
-            profile.count("candidates.generated", len(cands))
+        if tally is not None:
+            tally["index.neighborhood_probes"] += len(constraints)
+            tally["candidates.generated"] += len(cands)
         if not len(cands):
             return rows, cands
         mask = np.ones(len(cands), dtype=bool)
@@ -403,9 +420,21 @@ class VectorizedMatcher(MultigraphMatcher):
             mask &= columnar.pair_mask(sources, cands, edge_type, direction)
         if narrowed is not None:
             mask &= in_sorted(narrowed, cands)
-        if profile is not None:
-            profile.count(
-                "intersections", len(constraints) - 1 + (1 if narrowed is not None else 0)
-            )
-            profile.count("candidates.pruned", int(len(cands) - mask.sum()))
-        return rows[mask], cands[mask]
+        kept_rows, kept = rows[mask], cands[mask]
+        if tally is not None:
+            tally["intersections"] += len(constraints) - 1 + (1 if narrowed is not None else 0)
+            tally["candidates.pruned"] += len(cands) - len(kept)
+        return kept_rows, kept
+
+
+def _note_fallback(reason: str) -> None:
+    """Count one scalar fallback and tag the open ``engine.match`` span.
+
+    ``reason`` is ``small_limit`` (a row cap at or under
+    :data:`SMALL_LIMIT_CUTOFF`) or ``frontier_budget`` (the frontier passed
+    :data:`MAX_EXPANSION` / :data:`MAX_STATE_CELLS`).
+    """
+    record = current_record()
+    if record is not None:
+        record.count(FALLBACK_COUNTER)
+        record.annotate(fallback=reason)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ..errors import QueryTimeout
 from ..server.service import EngineService, ServiceOverloaded
-from ..server.stats import summarize_latencies
+from ..telemetry.metrics import summarize_latencies
 
 __all__ = ["ServiceBenchResult", "run_service_benchmark", "format_service_bench"]
 

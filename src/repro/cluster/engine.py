@@ -41,7 +41,6 @@ import time
 import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from itertools import product
-from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from ..amber.engine import AmberEngine, BuildReport, PlanCache, QueryEngineBase
@@ -54,8 +53,7 @@ from ..rdf.terms import IRI, BlankNode, Triple
 from ..sparql.bindings import Binding
 from ..sparql.planner import QueryPlanner
 from ..sparql.update import UpdateRequest, parse_update
-from ..telemetry.accounting import current_profile, start_profile
-from ..telemetry.trace import record_span, span, timed_iter
+from ..telemetry.record import ShardRecord, current_record, span, start_record, timed_iter
 from ..timing import Deadline
 from .mutation import ClusterMutator
 from .partition import ShardedData, partition_data
@@ -331,13 +329,13 @@ class ShardedEngine(QueryEngineBase):
         intersections instead.
         """
         splan = self._scatter_plan(qgraph, component)
-        profile = current_profile()
+        record = current_record()
         states: list[_JoinState] | None = None
         frontier: dict[int, frozenset[int]] = {}
         for star in splan.stars:
             push = should_push(star, frontier, splan.estimates.get(star.root))
-            if profile is not None and frontier:
-                profile.count(
+            if record is not None and frontier:
+                record.count(
                     "cluster.pushdown.applied" if push else "cluster.pushdown.skipped"
                 )
             with span(
@@ -424,92 +422,51 @@ class ShardedEngine(QueryEngineBase):
         ``restrict`` is the semi-join frontier when the scatter plan decided
         to push it down, None otherwise.
 
-        Worker-pool threads and processes do not inherit the request
-        thread's trace or query profile, so each shard's matching is timed
-        — and resource-counted — where it runs: the per-shard wall time and
-        the shard's counter dict travel back with the matches (plain dicts
-        pickle across process pools), and are recorded here, on the request
-        thread, with :func:`record_span` / ``absorb_shard`` — no-ops unless
-        the request is traced / profiled.
+        Every shard matches under its own query record — worker threads and
+        processes do not inherit the request's — and ships back its matches
+        with a :class:`~repro.telemetry.ShardRecord` (seconds and counters,
+        plain data that pickles across process pools).  The request record,
+        when there is one, absorbs each shard here, on the request thread.
         """
         restrict = restrict or None
         restricts = self._shard_restricts(star, restrict)
-        profile = current_profile()
-        profiled = profile is not None
-        if self.executor == "serial" or self.workers <= 1 or self.shard_count == 1:
-            relation: list[StarMatch] = []
-            for shard in range(self.shard_count):
-                shard_restrict = restricts[shard]
-                if shard_restrict is _SKIP_SHARD:
-                    continue
-                begin = perf_counter()
-                if profiled:
-                    # A fresh sub-profile shadows the request profile so the
-                    # inline path attributes counters per shard, exactly as
-                    # the pooled paths do.
-                    with start_profile() as sub:
-                        matches = match_star(
-                            self.shards[shard], qgraph, star, self.owner, shard, deadline,
-                            shard_restrict,
-                        )
-                    profile.absorb_shard(shard, sub.counters)
-                else:
-                    matches = match_star(
-                        self.shards[shard], qgraph, star, self.owner, shard, deadline,
-                        shard_restrict,
-                    )
-                record_span(
-                    "cluster.scatter.shard",
-                    perf_counter() - begin,
-                    shard=shard,
-                    matches=len(matches),
-                )
-                relation.extend(matches)
-            return relation
-        pool = self._ensure_pool()
         active = [
-            shard for shard in range(self.shard_count) if restricts[shard] is not _SKIP_SHARD
+            (shard, where) for shard, where in enumerate(restricts) if where is not _SKIP_SHARD
         ]
-        if self.executor == "process":
-            futures = [
-                (
-                    shard,
+        if self.executor == "serial" or self.workers <= 1 or self.shard_count == 1:
+            outcomes = (
+                _match_shard(self.shards[shard], qgraph, star, self.owner, shard, deadline, where)
+                for shard, where in active
+            )
+        else:
+            pool = self._ensure_pool()
+            if self.executor == "process":
+                futures = [
                     pool.submit(
-                        _match_star_in_worker,
-                        shard,
+                        _match_star_in_worker, shard, qgraph, star, deadline.remaining(), where
+                    )
+                    for shard, where in active
+                ]
+            else:
+                futures = [
+                    pool.submit(
+                        _match_shard,
+                        self.shards[shard],
                         qgraph,
                         star,
-                        deadline.remaining(),
-                        restricts[shard],
-                        profiled,
-                    ),
-                )
-                for shard in active
-            ]
-        else:
-
-            def timed_match(shard: int):
-                begin = perf_counter()
-                if profiled:
-                    with start_profile() as sub:
-                        matches = match_star(
-                            self.shards[shard], qgraph, star, self.owner, shard, deadline,
-                            restricts[shard],
-                        )
-                    return perf_counter() - begin, matches, sub.counters
-                matches = match_star(
-                    self.shards[shard], qgraph, star, self.owner, shard, deadline,
-                    restricts[shard],
-                )
-                return perf_counter() - begin, matches, None
-
-            futures = [(shard, pool.submit(timed_match, shard)) for shard in active]
-        relation = []
-        for shard, future in futures:
-            seconds, matches, counters = future.result()
-            record_span("cluster.scatter.shard", seconds, shard=shard, matches=len(matches))
-            if profiled and counters:
-                profile.absorb_shard(shard, counters)
+                        self.owner,
+                        shard,
+                        deadline,
+                        where,
+                    )
+                    for shard, where in active
+                ]
+            outcomes = (future.result() for future in futures)
+        record = current_record()
+        relation: list[StarMatch] = []
+        for matches, shard_record in outcomes:
+            if record is not None:
+                record.absorb(shard_record, matches=len(matches))
             relation.extend(matches)
         return relation
 
@@ -784,37 +741,35 @@ def _worker_engine(shard: int) -> AmberEngine:
     return engine
 
 
+def _match_shard(
+    engine: AmberEngine,
+    qgraph: QueryMultigraph,
+    star: StarQuery,
+    owner: dict[int, int],
+    shard: int,
+    deadline: Deadline,
+    restrict: dict[int, frozenset[int]] | None,
+) -> tuple[list[StarMatch], ShardRecord]:
+    """Match one star on one shard under the shard's own query record."""
+    with start_record() as record:
+        matches = match_star(engine, qgraph, star, owner, shard, deadline, restrict)
+    return matches, record.as_shard(shard)
+
+
 def _match_star_in_worker(
     shard: int,
     qgraph: QueryMultigraph,
     star: StarQuery,
     remaining_seconds: float | None,
     restrict: dict[int, frozenset[int]] | None,
-    profiled: bool = False,
-) -> tuple[float, list[StarMatch], dict[str, int] | None]:
-    """Match one star on one shard inside a worker process.
-
-    Returns ``(seconds, matches, counters)`` — the wall time and (when the
-    request is profiled) the shard's resource counters are measured here
-    because the worker process cannot see the request thread's trace or
-    profile; a plain counter dict survives the pickle back to the gather
-    loop, which absorbs it into the request profile.
-    """
-    deadline = Deadline(remaining_seconds)
-    begin = perf_counter()
-    if profiled:
-        with start_profile() as sub:
-            matches = match_star(
-                _worker_engine(shard),
-                qgraph,
-                star,
-                _WORKER_STATE["owner"],
-                shard,
-                deadline,
-                restrict,
-            )
-        return perf_counter() - begin, matches, sub.counters
-    matches = match_star(
-        _worker_engine(shard), qgraph, star, _WORKER_STATE["owner"], shard, deadline, restrict
+) -> tuple[list[StarMatch], ShardRecord]:
+    """Match one star on one shard inside a worker process."""
+    return _match_shard(
+        _worker_engine(shard),
+        qgraph,
+        star,
+        _WORKER_STATE["owner"],
+        shard,
+        Deadline(remaining_seconds),
+        restrict,
     )
-    return perf_counter() - begin, matches, None

@@ -28,12 +28,13 @@ can take the plain union of per-shard results.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..amber.engine import AmberEngine
 from ..multigraph.query_graph import QueryMultigraph
-from ..telemetry.accounting import current_profile
+from ..telemetry.record import current_record
 from ..timing import Deadline
 
 __all__ = [
@@ -273,9 +274,21 @@ def match_star(
     query vertex it maps, only the listed data vertices can still appear in
     a complete solution, so anchors and leaf candidates outside it are
     dropped eagerly instead of surviving until the join.
+
+    The query record (the shard's own, see ``ShardedEngine._scatter_star``)
+    is looked up once; the per-anchor loop tallies its counters locally and
+    they reach the record in one write.
     """
-    restrict = restrict or {}
-    profile = current_profile()
+    record = current_record()
+    tally = defaultdict(int) if record is not None else None
+    try:
+        return _match_star(engine, qgraph, star, owner, shard, deadline, restrict or {}, tally)
+    finally:
+        if record is not None:
+            record.add(tally)
+
+
+def _match_star(engine, qgraph, star, owner, shard, deadline, restrict, tally):
     # The shard engine's backend-built matcher: candidates come through the
     # MatchBackend protocol, so a vectorized shard serves its star anchors
     # and leaf sets from columnar posting arrays.
@@ -287,18 +300,18 @@ def match_star(
         # member is owned by exactly one shard, so the work partitions
         # across the cluster instead of a whole-matrix mask per shard.
         owned = {c for c in root_restrict if owner.get(c) == shard}
-        candidates = matcher.initial_candidates(qgraph, star.root, within=owned)
+        candidates = matcher.initial_candidates(qgraph, star.root, within=owned, tally=tally)
     else:
-        candidates = matcher.initial_candidates(qgraph, star.root)
+        candidates = matcher.initial_candidates(qgraph, star.root, tally=tally)
     generated = len(candidates)
-    refined = matcher.vertex_candidates(qgraph.vertices[star.root])
+    refined = matcher.vertex_candidates(qgraph.vertices[star.root], tally)
     if refined is not None:
         candidates &= refined
     anchored = sorted(c for c in candidates if owner.get(c) == shard)
-    if profile is not None:
-        profile.count("candidates.generated", generated)
-        profile.count("candidates.pruned", generated - len(candidates))
-        profile.count("cluster.star_anchors", len(anchored))
+    if tally is not None:
+        tally["candidates.generated"] += generated
+        tally["candidates.pruned"] += generated - len(candidates)
+        tally["cluster.star_anchors"] += len(anchored)
     if not anchored:
         return []
 
@@ -310,13 +323,13 @@ def match_star(
         )
         for leaf in star.leaves
     }
-    if profile is not None:
+    if tally is not None:
         probes = sum(
             len(qgraph.vertices[leaf].attributes) for leaf in star.leaves
             if qgraph.vertices[leaf].attributes
         )
         if probes:
-            profile.count("index.attribute_probes", probes)
+            tally["index.attribute_probes"] += probes
 
     matches: list[StarMatch] = []
     for anchor in anchored:
@@ -324,11 +337,11 @@ def match_star(
         leaf_sets: list[frozenset[int]] = []
         viable = True
         for leaf in star.leaves:
-            found = matcher.neighbor_candidates(qgraph, star.root, anchor, leaf)
+            found = matcher.neighbor_candidates(qgraph, star.root, anchor, leaf, tally)
             attribute_candidates = leaf_attributes[leaf]
             if attribute_candidates is not None:
-                if profile is not None:
-                    profile.count("intersections")
+                if tally is not None:
+                    tally["intersections"] += 1
                 found &= attribute_candidates
             leaf_restrict = restrict.get(leaf)
             if leaf_restrict is not None:
@@ -339,6 +352,6 @@ def match_star(
             leaf_sets.append(frozenset(found))
         if viable:
             matches.append(StarMatch(anchor=anchor, leaves=tuple(leaf_sets)))
-    if profile is not None:
-        profile.count("cluster.star_matches", len(matches))
+    if tally is not None:
+        tally["cluster.star_matches"] += len(matches)
     return matches

@@ -23,7 +23,6 @@ from .service import (
     UpdateResponse,
     split_explain,
 )
-from .stats import LatencyRecorder
 from .telemetry import ServiceTelemetry
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "ServiceReadOnly",
     "ServiceTelemetry",
     "ReadWriteLock",
-    "LatencyRecorder",
     "SparqlHTTPServer",
     "SparqlRequestHandler",
     "serve",

@@ -113,24 +113,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--metrics",
         choices=("on", "off"),
         default="on",
-        help="serve Prometheus metrics on GET /metrics (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--tracing",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="per-query span tracing: 'auto' feeds the stage histograms and keeps "
-        "the full span tree only when EXPLAIN or the slow-query log needs it; "
-        "'on' always keeps the tree; 'off' disables instrumentation entirely "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run every read under a per-query resource profile (candidate, "
-        "index-probe and intersection counters); profiles feed the "
-        "repro_query_*_total metric families and slow-query-log entries "
-        "(EXPLAIN ANALYZE always profiles its own request)",
+        help="fold every read's query record (stage timings, per-shard timings, "
+        "candidate/probe/intersection counters) into Prometheus metrics served on "
+        "GET /metrics; EXPLAIN and the slow-query log read the same record either "
+        "way (default: %(default)s)",
     )
     parser.add_argument(
         "--slow-query-log",
@@ -186,10 +172,8 @@ def build_service(args: argparse.Namespace) -> EngineService:
         max_in_flight=args.max_in_flight,
         read_only=args.read_only,
         metrics_enabled=getattr(args, "metrics", "on") == "on",
-        tracing=getattr(args, "tracing", "auto"),
         slow_query_log_path=getattr(args, "slow_query_log", None),
         slow_query_ms=getattr(args, "slow_query_ms", 500.0),
-        profiling=getattr(args, "profile", False),
     )
     return EngineService(engine, config)
 

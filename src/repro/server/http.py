@@ -21,9 +21,9 @@ engine's SELECT/UPDATE fragments:
   returns the annotated plan (stage timings, per-shard scatter timings,
   cardinalities, cache disposition) as JSON instead of the result rows;
 * ``?analyze=1`` — or an ``EXPLAIN ANALYZE`` query prefix — additionally
-  runs the query to completion under a per-query resource profile: every
-  plan operator reports estimated *and* actual row counts and the response
-  carries the candidate/probe/intersection counter breakdown (per shard on
+  runs the query to completion through the streamed operators: every plan
+  operator reports estimated *and* actual row counts and the response
+  carries the record's candidate/probe/intersection counters (per shard on
   a cluster engine);
 * ``GET /health`` is a trivial liveness probe.
 

@@ -13,9 +13,10 @@ adds what the bare engine deliberately does not have:
   rather than piling onto the worker pool;
 * per-request **timeout and row-limit enforcement** with service-wide caps;
 * counters and latency percentiles surfaced by the ``/stats`` endpoint;
-* **telemetry** — a Prometheus registry behind ``GET /metrics``, optional
-  per-request span tracing (stage histograms, ``EXPLAIN`` plans) and a
-  slow-query log, wired through :class:`~.telemetry.ServiceTelemetry`.
+* **telemetry** — every read runs under one per-query record (spans and
+  resource counters) that feeds a Prometheus registry behind
+  ``GET /metrics``, ``EXPLAIN`` / ``EXPLAIN ANALYZE`` and a slow-query
+  log, wired through :class:`~.telemetry.ServiceTelemetry`.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ from ..errors import QueryTimeout, ReproError, UnsupportedQueryError
 from ..sparql.bindings import ResultSet
 from ..sparql.tokenizer import SparqlSyntaxError
 from ..sparql.update import LoadData, UpdateRequest, parse_update
-from ..telemetry.accounting import QueryProfile, start_profile
-from ..telemetry.slowlog import shard_breakdown, stage_breakdown
-from ..telemetry.trace import SpanRecord
+from ..telemetry.metrics import Summary
+from ..telemetry.record import QueryRecord, start_record
 from .cache import LRUCache
 from .rwlock import ReadWriteLock
-from .stats import LatencyRecorder
 from .telemetry import ServiceTelemetry
 
 __all__ = [
@@ -105,23 +104,14 @@ class ServiceConfig:
     #: keeps a burst of updates from pinning every HTTP worker on the lock
     #: and starving queries of pool threads.
     max_pending_updates: int = 4
-    #: Maintain the Prometheus registry and serve ``GET /metrics``.
+    #: Fold every read's query record into the Prometheus registry and serve
+    #: ``GET /metrics``.  The record itself is always kept: EXPLAIN and the
+    #: slow-query log are views of it.
     metrics_enabled: bool = True
-    #: Span-tracing mode: ``"auto"`` (metrics-only trace; the full span tree
-    #: is kept only when EXPLAIN or the slow-query log needs it), ``"on"``
-    #: (always keep the tree) or ``"off"`` (every instrumentation point is a
-    #: no-op; an explicit EXPLAIN still traces its own request).
-    tracing: str = "auto"
     #: JSON-lines slow-query log path (None disables the log).
     slow_query_log_path: str | None = None
     #: Threshold, in milliseconds, above which a query is logged as slow.
     slow_query_ms: float = 500.0
-    #: Run every read under a per-query resource profile (candidate, index-
-    #: probe and intersection counters).  Profiles feed the aggregate
-    #: ``repro_query_*_total`` metric families and ride along on slow-query
-    #: log entries.  ``EXPLAIN ANALYZE`` profiles its own request regardless
-    #: of this flag.
-    profiling: bool = False
 
 
 def split_explain(query: str) -> tuple[bool, str]:
@@ -141,8 +131,8 @@ def split_analyze(query: str) -> tuple[bool, str]:
     """Detect and strip a leading ``ANALYZE`` keyword (case-insensitive).
 
     Applied after :func:`split_explain`, so the full ``EXPLAIN ANALYZE``
-    marker selects the analyze mode: the query runs to completion under a
-    resource profile and the plan reports actual next to estimated rows.
+    marker selects the analyze mode: the query runs to completion and the
+    plan reports actual next to estimated rows.
     Returns ``(is_analyze, query_without_prefix)``.
     """
     stripped = query.lstrip()
@@ -175,6 +165,15 @@ class UpdateResponse:
     result: UpdateResult
     seconds: float
     data_version: int
+
+
+#: Terminal read status -> the ``_Counters`` field it increments.
+_STATUS_COUNTERS = {
+    "answered": "answered",
+    "timeout": "timeouts",
+    "parse_error": "parse_errors",
+    "failed": "failures",
+}
 
 
 @dataclass
@@ -250,14 +249,13 @@ class EngineService:
         else:
             self.plan_cache = engine.plan_cache
         self.result_cache: LRUCache[tuple, ResultSet] = LRUCache(self.config.result_cache_size)
-        self.latency = LatencyRecorder(self.config.latency_window)
-        self.update_latency = LatencyRecorder(self.config.latency_window)
+        self.latency = Summary(self.config.latency_window)
+        self.update_latency = Summary(self.config.latency_window)
         self._counters = _Counters()
         self._update_counters = _UpdateCounters()
         self._lock = threading.Lock()
         self.telemetry = ServiceTelemetry(
             metrics_enabled=self.config.metrics_enabled,
-            tracing=self.config.tracing,
             slow_query_log_path=self.config.slow_query_log_path,
             slow_query_ms=self.config.slow_query_ms,
         )
@@ -303,7 +301,7 @@ class EngineService:
             if cached is not None:
                 with self._lock:
                     self._counters.answered += 1
-                self.latency.record(0.0)
+                self.latency.observe(0.0)
                 self.telemetry.query_finished("query", "answered", 0.0, query)
                 return QueryResponse(result=cached, seconds=0.0, from_result_cache=True)
 
@@ -370,20 +368,19 @@ class EngineService:
         max_rows: int | None = None,
         analyze: bool = False,
     ) -> dict:
-        """Execute a query with full tracing and return its annotated plan.
+        """Execute a query and return its plan annotated from its record.
 
         Accepts the query with or without a leading ``EXPLAIN`` marker (and
         an ``ANALYZE`` keyword after it).  The result cache is bypassed (a
-        cached answer has no stage timings to report) and the span tree is
-        always kept, regardless of the tracing mode.  The response is
+        cached answer has no stage timings to report).  The response is
         JSON-ready: the plan outline, the span tree, per-stage and per-shard
         breakdowns, row/variable counts and the cache disposition — without
         the serialized result rows.
 
         With ``analyze`` (parameter or ``EXPLAIN ANALYZE`` prefix) the query
-        runs to completion under a per-query resource profile: every plan
+        runs to completion through the streamed operators: every plan
         operator reports ``actual_rows`` next to ``estimated_rows``, and the
-        response carries the full counter/per-shard ``profile``.
+        response carries the record's counter/per-shard ``profile``.
         """
         _, text = split_explain(query)
         is_analyze, text = split_analyze(text)
@@ -409,25 +406,21 @@ class EngineService:
                     text, mode="analyze", timeout_seconds=effective_timeout
                 ).plan
 
-            payload, seconds, trace_root = self._run_read(
-                kind, text, run_analyze, force_tree=True, cache=cache, force_profile=True
-            )
-            if trace_root is not None:
-                seconds = trace_root.seconds
+            payload, _, record = self._run_read(kind, text, run_analyze, cache=cache)
             with self._rwlock.read_locked():
                 data_version = self.engine.data_version
             return {
                 "query": text,
                 "analyze": True,
-                "seconds": round(seconds, 6),
+                "seconds": round(record.root.seconds, 6),
                 "rows": payload["rows"],
                 "data_version": data_version,
                 "cache": cache,
                 "plan": payload["plan"],
                 "profile": payload["profile"],
-                "stages": stage_breakdown(trace_root),
-                "shards": shard_breakdown(trace_root),
-                "trace": trace_root.as_dict() if trace_root is not None else None,
+                "stages": record.stages(),
+                "shards": record.shard_timings(),
+                "trace": record.root.as_dict(),
             }
 
         def run() -> ResultSet:
@@ -435,16 +428,9 @@ class EngineService:
                 text, mode="select", timeout_seconds=effective_timeout, max_solutions=effective_rows
             ).result
 
-        result, seconds, trace_root = self._run_read(
-            "explain", text, run, force_tree=True, cache=cache
-        )
-        # Report the root span's wall time: the stage spans are its direct
-        # children, so their durations sum against this total (admission and
-        # trace setup, which no stage covers, stay out of the denominator).
-        if trace_root is not None:
-            seconds = trace_root.seconds
+        result, _, record = self._run_read("explain", text, run, cache=cache)
         # The outline comes from the engine's own explain mode *outside* the
-        # trace (no duplicate parse/prepare spans) but under the read lock:
+        # record (no duplicate parse/prepare spans) but under the read lock:
         # plan construction reads engine dictionaries a writer may be
         # resizing.  It carries the engine's ``match_backend``.
         with self._rwlock.read_locked():
@@ -453,34 +439,30 @@ class EngineService:
         return {
             "query": text,
             "analyze": False,
-            "seconds": round(seconds, 6),
+            # The root span's wall time: the stage spans are its direct
+            # children, so their durations sum against this total (admission,
+            # which no stage covers, stays out of the denominator).
+            "seconds": round(record.root.seconds, 6),
             "rows": len(result),
             "variables": [variable.name for variable in result.variables],
             "data_version": data_version,
             "cache": cache,
             "plan": outline,
-            "stages": stage_breakdown(trace_root),
-            "shards": shard_breakdown(trace_root),
-            "trace": trace_root.as_dict() if trace_root is not None else None,
+            "stages": record.stages(),
+            "shards": record.shard_timings(),
+            "trace": record.root.as_dict(),
         }
 
     def _run_read(
-        self,
-        kind: str,
-        query: str,
-        runner: Callable,
-        force_tree: bool = False,
-        cache: dict | None = None,
-        force_profile: bool = False,
+        self, kind: str, query: str, runner: Callable, cache: dict | None = None
     ) -> tuple:
-        """Admission, read lock, tracing and terminal accounting of one read.
+        """Admission, read lock, query record and terminal accounting of one read.
 
-        ``runner`` executes with the read lock held and an active trace (per
-        the telemetry policy).  With ``config.profiling`` on — or
-        ``force_profile``, the ``EXPLAIN ANALYZE`` path — it also runs under
-        a per-query resource profile whose counters feed the aggregate
-        metric families and ride along on slow-log entries.  Returns
-        ``(value, seconds, trace_root)``; every terminal outcome — including
+        ``runner`` executes with the read lock held under a fresh
+        :class:`~repro.telemetry.QueryRecord`.  Whatever the outcome — a
+        timeout included — the record is folded into the telemetry once,
+        here, with every span that finished or was open.  Returns
+        ``(value, seconds, record)``; every terminal outcome — including
         rejection — is reported to the telemetry layer so ``/stats`` and
         ``/metrics`` totals agree.
         """
@@ -491,60 +473,31 @@ class EngineService:
             raise
         if cache is None:
             cache = self._cache_disposition(query)
-        profile = QueryProfile() if (self.config.profiling or force_profile) else None
-
-        def profile_dict() -> dict | None:
-            return profile.as_dict() if profile is not None and profile.counters else None
-
+        record = QueryRecord()
+        status = "failed"
         start = time.perf_counter()
-        trace_root: SpanRecord | None = None
         try:
-            with self.telemetry.query_trace(force_tree=force_tree) as trace:
-                with self._rwlock.read_locked():
-                    if profile is not None:
-                        with start_profile(profile):
-                            value = runner()
-                    else:
-                        value = runner()
-                if trace is not None and trace.keep_tree:
-                    trace_root = trace.root
+            with start_record(record), self._rwlock.read_locked():
+                value = runner()
+            status = "answered"
         except QueryTimeout:
-            with self._lock:
-                self._counters.timeouts += 1
-            if profile is not None and profile.counters:
-                self.telemetry.profile_recorded(profile.counters, self.engine.match_backend)
-            self.telemetry.query_finished(
-                kind,
-                "timeout",
-                time.perf_counter() - start,
-                query,
-                trace_root,
-                cache,
-                profile=profile_dict(),
-            )
+            status = "timeout"
             raise
         except (SparqlSyntaxError, UnsupportedQueryError):
-            with self._lock:
-                self._counters.parse_errors += 1
-            self.telemetry.query_finished(kind, "parse_error")
-            raise
-        except Exception:
-            with self._lock:
-                self._counters.failures += 1
-            self.telemetry.query_finished(kind, "failed")
+            status = "parse_error"
             raise
         finally:
             self._release()
-        seconds = time.perf_counter() - start
-        self.latency.record(seconds)
-        with self._lock:
-            self._counters.answered += 1
-        if profile is not None and profile.counters:
-            self.telemetry.profile_recorded(profile.counters, self.engine.match_backend)
-        self.telemetry.query_finished(
-            kind, "answered", seconds, query, trace_root, cache, profile=profile_dict()
-        )
-        return value, seconds, trace_root
+            seconds = time.perf_counter() - start
+            with self._lock:
+                field = _STATUS_COUNTERS[status]
+                setattr(self._counters, field, getattr(self._counters, field) + 1)
+            if status == "answered":
+                self.latency.observe(seconds)
+            self.telemetry.query_finished(
+                kind, status, seconds, query, record, cache, self.engine.match_backend
+            )
+        return value, seconds, record
 
     def _cache_disposition(self, query: str) -> dict[str, str]:
         """Pre-execution plan/result cache disposition of one query text.
@@ -616,7 +569,7 @@ class EngineService:
             with self._lock:
                 self._update_counters.pending -= 1
         seconds = time.perf_counter() - start
-        self.update_latency.record(seconds)
+        self.update_latency.observe(seconds)
         with self._lock:
             self._update_counters.applied += 1
             self._update_counters.triples_inserted += result.inserted
@@ -778,8 +731,6 @@ class EngineService:
             },
             "telemetry": {
                 "metrics_enabled": self.telemetry.enabled,
-                "tracing": self.telemetry.tracing,
-                "profiling": self.config.profiling,
                 "slow_query_log": (
                     str(self.telemetry.slow_log.path)
                     if self.telemetry.slow_log is not None

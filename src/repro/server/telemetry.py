@@ -1,4 +1,4 @@
-"""Service-side telemetry wiring: registry, span sink and the slow-query log.
+"""Service-side telemetry: the registry, the record fold and the slow-query log.
 
 :class:`ServiceTelemetry` owns everything observable about one
 :class:`~repro.server.EngineService`:
@@ -6,15 +6,17 @@
 * a per-service :class:`~repro.telemetry.MetricsRegistry` (no process
   globals — tests build many services per process) with the request
   counters, latency/stage histograms and gauges behind ``GET /metrics``;
-* the **span sink** that turns finished trace spans into stage and
-  per-shard histogram observations;
-* the tracing policy: with ``tracing="auto"`` (the default) requests run
-  a *metrics-only* trace — spans feed the histograms, no tree is kept —
-  unless the slow-query log or an ``EXPLAIN`` needs the full tree;
-  ``tracing="on"`` always keeps the tree, ``tracing="off"`` makes every
-  instrumentation point a no-op (only an explicit ``EXPLAIN`` still
-  traces, since the plan tree *is* its answer);
-* the optional :class:`~repro.telemetry.SlowQueryLog`.
+* the **fold**: every read runs under one
+  :class:`~repro.telemetry.QueryRecord`, and :meth:`query_finished` folds
+  the finished record into the registry in a single pass — its spans into
+  the stage and per-shard histograms, its counters into the
+  ``repro_query_*_total`` families;
+* the optional :class:`~repro.telemetry.SlowQueryLog`, whose entries are
+  views of the same record.
+
+``metrics_enabled`` (``--metrics on|off``) is the one switch: off, the
+registry is left untouched and ``GET /metrics`` answers 404, while the
+record still backs ``EXPLAIN`` and the slow-query log.
 
 The metric families:
 
@@ -32,7 +34,7 @@ The metric families:
                                       matching stages, else empty)
 ``repro_query_candidates_total``      matcher candidates by ``backend`` and
                                       ``stage`` (generated/pruned), from
-                                      per-query resource profiles
+                                      per-query records
 ``repro_query_intersections_total``   sorted-set/array intersections by
                                       ``backend``
 ``repro_query_index_probes_total``    index probes by ``backend`` and ``index``
@@ -53,33 +55,23 @@ The metric families:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.record import SHARD_SPAN, QueryRecord, iter_spans
 from ..telemetry.slowlog import SlowQueryLog
-from ..telemetry.trace import SpanRecord, Trace, start_trace
 
-__all__ = ["ServiceTelemetry", "TRACING_MODES"]
-
-#: Accepted values of ``ServiceConfig.tracing``.
-TRACING_MODES = ("auto", "on", "off")
+__all__ = ["ServiceTelemetry"]
 
 
 class ServiceTelemetry:
-    """Metrics registry + tracing policy + slow-query log of one service."""
+    """Metrics registry + record fold + slow-query log of one service."""
 
     def __init__(
         self,
         metrics_enabled: bool = True,
-        tracing: str = "auto",
         slow_query_log_path: str | None = None,
         slow_query_ms: float = 500.0,
     ):
-        if tracing not in TRACING_MODES:
-            raise ValueError(f"unknown tracing mode {tracing!r} (expected one of {TRACING_MODES})")
         self.enabled = metrics_enabled
-        self.tracing = tracing
         self.slow_log = (
             SlowQueryLog(slow_query_log_path, slow_query_ms)
             if slow_query_log_path is not None
@@ -121,7 +113,7 @@ class ServiceTelemetry:
         self.query_candidates_total = reg.counter(
             "repro_query_candidates_total",
             "Matcher candidates by backend and stage (generated/pruned), "
-            "accumulated from per-query resource profiles.",
+            "accumulated from per-query records.",
             labelnames=("backend", "stage"),
         )
         self.query_intersections_total = reg.counter(
@@ -165,9 +157,6 @@ class ServiceTelemetry:
             "repro_data_version", "Engine mutation counter (bumped per applied update batch)."
         )
 
-    # ------------------------------------------------------------------ #
-    # tracing policy
-    # ------------------------------------------------------------------ #
     def lock_wait_observer(self):
         """The ``ReadWriteLock`` ``on_wait`` hook, or None when metrics are off."""
         if not self.enabled:
@@ -178,94 +167,34 @@ class ServiceTelemetry:
 
         return observe
 
-    @contextmanager
-    def query_trace(self, force_tree: bool = False) -> Iterator[Trace | None]:
-        """Activate the per-request trace this configuration calls for.
-
-        Yields None (no tracing at all — instrumentation points stay no-ops)
-        when tracing is off and nothing forces a tree.  ``force_tree`` is the
-        ``EXPLAIN`` path: the span tree is the response, so it overrides
-        ``tracing="off"``.
-        """
-        if self.tracing == "off" and not force_tree:
-            yield None
-            return
-        keep_tree = force_tree or self.tracing == "on" or self.slow_log is not None
-        sink = self._sink if self.enabled else None
-        if sink is None and not keep_tree:
-            yield None
-            return
-        with start_trace("query", sink=sink, keep_tree=keep_tree) as trace:
-            yield trace
-
-    def _sink(self, record: SpanRecord) -> None:
-        """Feed one finished span into the stage/shard histograms."""
-        name = record.name
-        if name == "query":
-            # The root's wall time is recorded as repro_query_seconds by the
-            # service (it also covers admission + cache probing).
-            return
-        if name == "cluster.scatter.shard":
-            self.scatter_shard_seconds.observe(
-                record.seconds, shard=str(record.attributes.get("shard", ""))
-            )
-            return
-        self.stage_seconds.observe(
-            record.seconds, stage=name, backend=str(record.attributes.get("backend", ""))
-        )
-
     # ------------------------------------------------------------------ #
     # request accounting
     # ------------------------------------------------------------------ #
-    def profile_recorded(self, counters: dict, backend: str) -> None:
-        """Fold one finished query profile into the aggregate counter families.
-
-        ``counters`` is a :class:`~repro.telemetry.QueryProfile` counter dict
-        (dotted names); ``backend`` labels every sample with the match
-        backend that produced it.  Unknown counter names are ignored — they
-        still appear verbatim in EXPLAIN ANALYZE responses and slow-log
-        entries, only the Prometheus aggregation is selective.
-        """
-        if not self.enabled or not counters:
-            return
-        for name, value in counters.items():
-            if not value:
-                continue
-            if name == "candidates.generated":
-                self.query_candidates_total.inc(value, backend=backend, stage="generated")
-            elif name == "candidates.pruned":
-                self.query_candidates_total.inc(value, backend=backend, stage="pruned")
-            elif name == "intersections":
-                self.query_intersections_total.inc(value, backend=backend)
-            elif name.startswith("index.") and name.endswith("_probes"):
-                index = name[len("index.") : -len("_probes")]
-                self.query_index_probes_total.inc(value, backend=backend, index=index)
-            elif name.startswith("op.") and name.endswith(".rows"):
-                self.query_operator_rows_total.inc(value, backend=backend)
-            elif name == "solutions.emitted":
-                self.query_solutions_total.inc(value, backend=backend)
-
     def query_finished(
         self,
         kind: str,
         status: str,
         seconds: float | None = None,
         query: str | None = None,
-        trace_root: SpanRecord | None = None,
+        record: QueryRecord | None = None,
         cache: dict | None = None,
-        profile: dict | None = None,
+        backend: str = "",
     ) -> None:
         """Record one terminal read request (all statuses, incl. rejections).
 
         ``seconds`` is only observed into the latency histogram when the
         request actually evaluated (answered), matching the ``/stats``
-        latency summary.  Slow-log entries are written here too, so the
+        latency summary.  ``record`` — the request's query record, None
+        when the request never evaluated — is folded into the registry
+        here, and slow-log entries are written here too, so the
         query/count/ask/explain paths all share one disposition point.
         """
         if self.enabled:
             self.queries_total.inc(kind=kind, status=status)
             if seconds is not None and status == "answered":
                 self.query_seconds.observe(seconds, kind=kind)
+            if record is not None:
+                self._fold(record, backend)
         if (
             self.slow_log is not None
             and seconds is not None
@@ -275,16 +204,52 @@ class ServiceTelemetry:
         ):
             if self.enabled:
                 self.slow_queries_total.inc()
-            extra = {"profile": profile} if profile else {}
             self.slow_log.log(
-                query,
-                seconds,
-                kind=kind,
-                status=status,
-                trace_root=trace_root,
-                cache=cache,
-                **extra,
+                query, seconds, kind=kind, status=status, record=record, cache=cache
             )
+
+    def _fold(self, record: QueryRecord, backend: str) -> None:
+        """Fold one finished record into the stage, shard and counter families.
+
+        The root's wall time is not a stage: the service records it as
+        ``repro_query_seconds`` (it also covers admission and cache
+        probing).  ``backend`` labels the counter samples with the match
+        backend that produced them; unknown counter names are skipped here
+        but still appear verbatim in EXPLAIN ANALYZE and slow-log entries.
+        """
+        root = record.root
+        for node in iter_spans(root):
+            if node is root:
+                continue
+            if node.name == SHARD_SPAN:
+                self.scatter_shard_seconds.observe(
+                    node.seconds, shard=str(node.attributes.get("shard", ""))
+                )
+            else:
+                self.stage_seconds.observe(
+                    node.seconds,
+                    stage=node.name,
+                    backend=str(node.attributes.get("backend", "")),
+                )
+        operator_rows = 0
+        for name, value in record.counters.items():
+            if not value:
+                continue
+            if name.startswith("op.") and name.endswith(".rows"):
+                operator_rows += value
+            elif name == "candidates.generated":
+                self.query_candidates_total.inc(value, backend=backend, stage="generated")
+            elif name == "candidates.pruned":
+                self.query_candidates_total.inc(value, backend=backend, stage="pruned")
+            elif name == "intersections":
+                self.query_intersections_total.inc(value, backend=backend)
+            elif name.startswith("index.") and name.endswith("_probes"):
+                index = name[len("index.") : -len("_probes")]
+                self.query_index_probes_total.inc(value, backend=backend, index=index)
+            elif name == "solutions.emitted":
+                self.query_solutions_total.inc(value, backend=backend)
+        if operator_rows:
+            self.query_operator_rows_total.inc(operator_rows, backend=backend)
 
     def update_finished(self, status: str, seconds: float | None = None) -> None:
         """Record one terminal update request."""

@@ -41,8 +41,7 @@ from .algebra import (
 )
 from .bindings import Binding
 from .expressions import And, Expression, expression_variables, filter_passes
-from ..telemetry.accounting import QueryProfile, current_profile
-from ..telemetry.trace import current_trace, timed_iter
+from ..telemetry.record import current_record, timed_iter
 from ..timing import Deadline
 
 __all__ = [
@@ -297,42 +296,18 @@ def stream_plan(node: PlanNode, solver: BGPSolver, deadline: Deadline) -> Iterat
     consumer that stops early — ``ask()``, a row cap, ``LIMIT`` — never
     forces the whole multiset of the outermost operator chain.
 
-    When the request is traced, every operator's stream is wrapped in
-    :func:`~repro.telemetry.trace.timed_iter`, charging each operator the
-    time spent inside its ``next()`` (inclusive of its children) and the
-    number of rows it produced.  When a query profile is active, every
-    operator additionally charges its produced rows to the
-    ``op.<node_id>.rows`` counter, which ``EXPLAIN ANALYZE`` joins back
-    onto the plan outline as ``actual_rows``.
+    When a query record is active, every operator's stream is wrapped in
+    :func:`~repro.telemetry.record.timed_iter`, which charges the operator
+    the time spent inside its ``next()`` (inclusive of its children) and
+    the rows it produced — the latter also to the ``op.<node_id>.rows``
+    counter, which ``EXPLAIN ANALYZE`` joins back onto the plan outline as
+    ``actual_rows``.
     """
     stream = _stream_node(node, solver, deadline)
-    profile = current_profile()
-    if profile is not None:
-        stream = _counted_stream(node.node_id, stream, profile)
-    if current_trace() is None or isinstance(node, EmptyNode):
+    if current_record() is None:
         return stream
     name, attributes = _operator_label(node)
-    return timed_iter(name, stream, **attributes)
-
-
-def _counted_stream(
-    node_id: int, stream: Iterator[Binding], profile: QueryProfile
-) -> Iterator[Binding]:
-    """Re-yield ``stream``, charging produced rows to one plan operator.
-
-    The total is written once, in the ``finally`` — an abandoned iterator
-    (``ask()``, a row cap) still records what it produced, and the per-row
-    cost is a single integer increment.
-    """
-    produced = 0
-    try:
-        for row in stream:
-            produced += 1
-            yield row
-    finally:
-        counters = profile.counters
-        name = f"op.{node_id}.rows"
-        counters[name] = counters.get(name, 0) + produced
+    return timed_iter(name, stream, node_id=node.node_id, **attributes)
 
 
 def _operator_label(node: PlanNode) -> tuple[str, dict]:
@@ -345,6 +320,8 @@ def _operator_label(node: PlanNode) -> tuple[str, dict]:
         return "algebra.filter", {"conditions": len(node.conditions)}
     if isinstance(node, LeftJoinNode):
         return "algebra.leftjoin", {}
+    if isinstance(node, EmptyNode):
+        return "algebra.empty", {}
     return "algebra.join", {}
 
 
@@ -384,7 +361,7 @@ def plan_outline(
 
     Mirrors the operator structure that :func:`stream_plan` executes; the
     ``block`` indexes match the ``block`` attribute of ``algebra.bgp``
-    spans and the ``id`` fields match the ``op.<id>.rows`` profile
+    spans and the ``id`` fields match the ``op.<id>.rows`` record
     counters, so timings and row counts can be joined back onto the plan.
 
     ``estimator`` (an engine hook — AMbER's smallest-posting bound) adds

@@ -1,32 +1,23 @@
-"""End-to-end telemetry: metrics, span tracing and the slow-query log.
+"""End-to-end telemetry: the per-query record, metrics and the slow-query log.
 
 The subsystem is dependency-free and engine-agnostic:
 
+* :mod:`repro.telemetry.record` — one :class:`QueryRecord` per query: the
+  span tree (stages, algebra operators, per-shard scatter timings), the
+  resource counters (candidates, intersections, index probes, rows per
+  operator) and per-shard sub-records, behind one thread local whose
+  instrumentation points are no-ops when no record is active;
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms with
   Prometheus text exposition, plus the windowed :class:`Summary` backing
   the ``/stats`` latency JSON;
-* :mod:`repro.telemetry.trace` — a thread-local span tracer whose
-  instrumentation points cost one thread-local read when disabled;
 * :mod:`repro.telemetry.slowlog` — a JSON-lines slow-query log.
 
-The server layer (:mod:`repro.server`) wires all three together: spans feed
-stage histograms through a sink, ``GET /metrics`` scrapes the registry, and
-``EXPLAIN`` / the slow-query log serialize the span tree.
-
-:mod:`repro.telemetry.accounting` adds per-query resource counters
-(candidates, intersections, index probes, per-operator rows) behind the
-same thread-local no-op pattern; ``EXPLAIN ANALYZE`` and the aggregate
-``repro_query_*_total`` metric families are built on it.
+The server layer (:mod:`repro.server`) opens a record for every read and
+folds it into the registry once, when the request ends; ``GET /metrics``
+scrapes the registry, and ``EXPLAIN`` / ``EXPLAIN ANALYZE`` and the
+slow-query log serialize views of the same record.
 """
 
-from .accounting import (
-    QueryProfile,
-    count,
-    count_rows,
-    current_profile,
-    merge_counters,
-    start_profile,
-)
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -34,47 +25,41 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     Summary,
+    nearest_rank,
     parse_exposition,
+    summarize_latencies,
     validate_exposition,
 )
-from .slowlog import SlowQueryLog, shard_breakdown, stage_breakdown
-from .trace import (
+from .record import (
+    QueryRecord,
+    ShardRecord,
     SpanRecord,
-    Trace,
-    annotate,
-    current_trace,
+    current_record,
     iter_spans,
-    record_span,
     span,
-    start_trace,
+    start_record,
     timed_iter,
 )
+from .slowlog import SlowQueryLog
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "QueryProfile",
-    "count",
-    "count_rows",
-    "current_profile",
-    "merge_counters",
-    "start_profile",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Summary",
+    "nearest_rank",
     "parse_exposition",
+    "summarize_latencies",
     "validate_exposition",
-    "SlowQueryLog",
-    "shard_breakdown",
-    "stage_breakdown",
+    "QueryRecord",
+    "ShardRecord",
     "SpanRecord",
-    "Trace",
-    "annotate",
-    "current_trace",
+    "current_record",
     "iter_spans",
-    "record_span",
     "span",
-    "start_trace",
+    "start_record",
     "timed_iter",
+    "SlowQueryLog",
 ]

@@ -3,9 +3,10 @@
 Every query whose end-to-end latency crosses the configured threshold is
 appended to the log file as one JSON object per line — machine-parseable
 (``jq``-able) and safe to tail.  The service fills each entry with the
-query text, outcome, stage breakdown and shard breakdown (from the span
-trace) and the cache disposition, so a slow query can be diagnosed without
-reproducing it.
+query text, outcome and cache disposition plus views of the query's
+:class:`~repro.telemetry.record.QueryRecord` — stage and shard breakdowns,
+the counter profile and, for a timeout, the span the deadline fired in —
+so a slow query can be diagnosed without reproducing it.
 
 Writes are serialized under a lock and flushed per entry; the file is
 opened lazily on first write and re-opened after :meth:`SlowQueryLog.close`
@@ -20,39 +21,14 @@ import time
 from pathlib import Path
 from typing import IO
 
-from .trace import SpanRecord, iter_spans
+from .record import QueryRecord
 
-__all__ = ["SlowQueryLog", "stage_breakdown", "shard_breakdown"]
+__all__ = ["SlowQueryLog"]
 
 #: Query text longer than this is truncated in log entries: the log is a
 #: diagnostic stream, not an archive, and a generated complex-50 query can
 #: run to many kilobytes.
 MAX_QUERY_CHARS = 4096
-
-
-def stage_breakdown(root: SpanRecord | None) -> list[dict]:
-    """The root's direct children as ``{stage, seconds, ...attrs}`` rows."""
-    if root is None:
-        return []
-    rows = []
-    for child in root.children:
-        row = {"stage": child.name, "seconds": round(child.seconds, 6)}
-        row.update(child.attributes)
-        rows.append(row)
-    return rows
-
-
-def shard_breakdown(root: SpanRecord | None) -> list[dict]:
-    """Every per-shard scatter span in the tree, in execution order."""
-    if root is None:
-        return []
-    rows = []
-    for record in iter_spans(root):
-        if record.name == "cluster.scatter.shard":
-            row = {"seconds": round(record.seconds, 6)}
-            row.update(record.attributes)
-            rows.append(row)
-    return rows
 
 
 class SlowQueryLog:
@@ -76,14 +52,16 @@ class SlowQueryLog:
         seconds: float,
         kind: str = "query",
         status: str = "answered",
-        trace_root: SpanRecord | None = None,
+        record: QueryRecord | None = None,
         cache: dict | None = None,
-        **extra: object,
     ) -> dict:
         """Append one entry (unconditionally — callers gate on should_log).
 
-        Returns the entry that was written, which tests and callers can
-        inspect without re-reading the file.
+        The stage and shard breakdowns, the counter ``profile`` and — for a
+        timeout — ``timed_out_in`` (the innermost span open when the
+        deadline fired) are views of the query's record.  Returns the entry
+        that was written, which tests and callers can inspect without
+        re-reading the file.
         """
         entry: dict = {
             "ts": round(time.time(), 3),
@@ -94,10 +72,14 @@ class SlowQueryLog:
             "query": query[:MAX_QUERY_CHARS],
             "truncated": len(query) > MAX_QUERY_CHARS,
             "cache": cache or {},
-            "stages": stage_breakdown(trace_root),
-            "shards": shard_breakdown(trace_root),
+            "stages": record.stages() if record is not None else [],
+            "shards": record.shard_timings() if record is not None else [],
         }
-        entry.update(extra)
+        if record is not None:
+            if record.counters:
+                entry["profile"] = record.profile()
+            if record.timed_out_in is not None:
+                entry["timed_out_in"] = record.timed_out_in
         line = json.dumps(entry, ensure_ascii=False, separators=(",", ":"))
         with self._lock:
             if self._file is None:

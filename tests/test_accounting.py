@@ -1,27 +1,23 @@
-"""Per-query resource accounting: profiles, EXPLAIN ANALYZE, shard rollup.
+"""Per-query resource accounting: record counters, EXPLAIN ANALYZE, shard rollup.
 
-Covers the :mod:`repro.telemetry.accounting` primitives, the engine's
-``analyze`` execute mode (estimated *and* actual rows on every plan
-operator), backend parity of the plan tree shape, and the per-shard
-sub-profile rollup invariant on the cluster engine under every executor.
+Covers the counter half of :class:`repro.telemetry.QueryRecord`, the
+engine's ``analyze`` execute mode (estimated *and* actual rows on every
+plan operator), backend parity of the plan tree shape, the scalar-fallback
+counter, and the per-shard sub-record rollup invariant on the cluster
+engine under every executor.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro import AmberEngine
+from repro.amber import vectorized
 from repro.cluster import ShardedEngine
-from repro.telemetry import (
-    QueryProfile,
-    count,
-    count_rows,
-    current_profile,
-    merge_counters,
-    start_profile,
-)
+from repro.telemetry import QueryRecord, ShardRecord, current_record, start_record
 
 pytestmark = pytest.mark.metrics
 
@@ -66,53 +62,60 @@ def outline_shape(node: dict):
     return shape
 
 
-class TestQueryProfile:
-    def test_helpers_are_noops_without_active_profile(self):
-        assert current_profile() is None
-        count("candidates.generated", 3)  # must not raise, must not record
-        count_rows(7, 2)
-        assert current_profile() is None
+class TestRecordCounters:
+    def test_no_record_outside_a_request(self):
+        assert current_record() is None
 
-    def test_count_accumulates_and_groups(self):
-        profile = QueryProfile()
-        with start_profile(profile) as active:
-            assert active is profile
-            assert current_profile() is profile
-            count("candidates.generated", 3)
-            count("candidates.generated", 2)
-            count("intersections")
-            count_rows(0, 4)
-        assert current_profile() is None
-        assert profile.counters["candidates.generated"] == 5
-        assert profile.counters["intersections"] == 1
-        assert profile.operator_rows() == {0: 4}
+    def test_count_accumulates_and_reads_operator_rows(self):
+        record = QueryRecord()
+        with start_record(record) as active:
+            assert active is record
+            assert current_record() is record
+            record.count("candidates.generated", 3)
+            record.count("candidates.generated", 2)
+            record.count("intersections")
+            record.count("op.0.rows", 4)
+        assert current_record() is None
+        assert record.counters["candidates.generated"] == 5
+        assert record.counters["intersections"] == 1
+        assert record.operator_rows() == {0: 4}
 
-    def test_profiles_nest_and_restore(self):
-        outer = QueryProfile()
-        with start_profile(outer):
-            count("outer.only")
-            with start_profile() as inner:
-                count("inner.only")
-            assert current_profile() is outer
-            count("outer.only")
+    def test_records_nest_and_restore(self):
+        with start_record() as outer:
+            outer.count("outer.only")
+            with start_record() as inner:
+                current_record().count("inner.only")
+            assert current_record() is outer
+            current_record().count("outer.only")
         assert outer.counters == {"outer.only": 2}
         assert inner.counters == {"inner.only": 1}
 
-    def test_absorb_shard_keeps_rollup_invariant(self):
-        profile = QueryProfile()
-        profile.absorb_shard(0, {"candidates.generated": 3, "intersections": 1})
-        profile.absorb_shard(1, {"candidates.generated": 4})
+    def test_absorb_keeps_rollup_invariant(self):
+        record = QueryRecord()
+        record.absorb(ShardRecord(0, 0.5, {"candidates.generated": 3, "intersections": 1}))
+        record.absorb(ShardRecord(1, 0.25, {"candidates.generated": 4}), matches=2)
         for name in ("candidates.generated", "intersections"):
-            total = sum(sub.get(name, 0) for sub in profile.shards.values())
-            assert profile.counters[name] == total
-        payload = profile.as_dict()
+            total = sum(sub.get(name, 0) for sub in record.shards.values())
+            assert record.counters[name] == total
+        payload = record.profile()
         assert payload["counters"]["candidates.generated"] == 7
         assert payload["shards"]["1"] == {"candidates.generated": 4}
+        assert record.shard_timings() == [
+            {"seconds": 0.5, "shard": 0},
+            {"seconds": 0.25, "shard": 1, "matches": 2},
+        ]
 
-    def test_merge_counters(self):
-        into = {"a": 1}
-        merge_counters(into, {"a": 2, "b": 3})
-        assert into == {"a": 3, "b": 3}
+    def test_add_merges_a_tally(self):
+        record = QueryRecord()
+        record.count("a")
+        record.add({"a": 2, "b": 3})
+        assert record.counters == {"a": 3, "b": 3}
+
+    def test_shard_record_survives_pickling(self):
+        with start_record() as record:
+            record.count("candidates.generated", 9)
+        shipped = pickle.loads(pickle.dumps(record.as_shard(2)))
+        assert shipped == ShardRecord(2, record.root.seconds, {"candidates.generated": 9})
 
 
 class TestAnalyzeMode:
@@ -150,6 +153,53 @@ class TestAnalyzeMode:
         counters = paper_engine.execute(BGP_QUERY, mode="analyze").plan["profile"]["counters"]
         assert counters.get("candidates.generated", 0) > 0
         assert counters.get("solutions.emitted", 0) > 0
+
+    def test_library_calls_leave_no_record_behind(self, paper_engine):
+        paper_engine.execute(OPTIONAL_QUERY, mode="analyze")
+        paper_engine.query(OPTIONAL_QUERY)
+        assert current_record() is None
+
+
+class TestScalarFallback:
+    """Both routes from the vectorized to the scalar matcher are recorded."""
+
+    #: Two core vertices (?p, ?c), so the frontier expands at least once.
+    CHAIN_QUERY = PREFIXES + (
+        "SELECT ?p ?s ?w WHERE { ?p y:wasBornIn ?c . ?c y:hasStadium ?s . ?p y:livedIn ?w . }"
+    )
+
+    @pytest.fixture()
+    def engine(self, paper_store):
+        return AmberEngine.from_store(paper_store, backend="vectorized")
+
+    @staticmethod
+    def match_span(record: QueryRecord):
+        (match,) = [child for child in record.root.children if child.name == "engine.match"]
+        return match
+
+    def test_frontier_budget_fallback(self, engine, monkeypatch):
+        expected = engine.query(self.CHAIN_QUERY).to_table()
+        monkeypatch.setattr(vectorized, "MAX_EXPANSION", 0)
+        with start_record() as record:
+            rows = engine.query(self.CHAIN_QUERY).to_table()
+        assert len(engine.query(self.CHAIN_QUERY)) == 2
+        assert rows == expected
+        assert record.counters[vectorized.FALLBACK_COUNTER] >= 1
+        assert self.match_span(record).attributes["fallback"] == "frontier_budget"
+        payload = engine.execute(self.CHAIN_QUERY, mode="analyze").plan
+        assert payload["profile"]["counters"][vectorized.FALLBACK_COUNTER] == 1
+
+    def test_small_limit_fallback(self, engine):
+        with start_record() as record:
+            engine.query(BGP_QUERY, max_solutions=1)
+        assert record.counters[vectorized.FALLBACK_COUNTER] == 1
+        assert self.match_span(record).attributes["fallback"] == "small_limit"
+
+    def test_columnar_match_records_no_fallback(self, engine):
+        with start_record() as record:
+            engine.query(OPTIONAL_QUERY)
+        assert vectorized.FALLBACK_COUNTER not in record.counters
+        assert "fallback" not in self.match_span(record).attributes
 
 
 class TestBackendParity:
@@ -192,7 +242,7 @@ class TestBackendParity:
 @pytest.mark.cluster
 class TestShardRollup:
     @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
-    def test_shard_subprofiles_roll_up(self, paper_engine, executor):
+    def test_shard_subrecords_roll_up(self, paper_engine, executor):
         with ShardedEngine.build(
             paper_engine.data, 2, executor=executor, workers=2
         ) as sharded:
@@ -200,9 +250,9 @@ class TestShardRollup:
             assert payload["rows"] == len(paper_engine.query(OPTIONAL_QUERY))
             profile = payload["profile"]
             shards = profile.get("shards", {})
-            assert shards, f"no per-shard sub-profiles under the {executor} executor"
+            assert shards, f"no per-shard sub-records under the {executor} executor"
             names = {name for sub in shards.values() for name in sub}
-            assert names, "shard sub-profiles recorded no counters"
+            assert names, "shard sub-records recorded no counters"
             for name in names:
                 total = sum(sub.get(name, 0) for sub in shards.values())
                 assert profile["counters"][name] == total, (

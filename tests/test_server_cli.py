@@ -52,16 +52,20 @@ class TestCliService:
         assert args.port == 8080
         assert args.plan_cache == 256
         assert args.result_cache == 0
-        assert args.profile is False
+        assert args.metrics == "on"
 
-    def test_profile_flag_enables_per_query_accounting(self, paper_engine, tmp_path):
+    def test_record_switches_are_gone(self, paper_engine, tmp_path):
+        """--metrics is the one telemetry switch; the record is always on."""
+        for flag in ("--profile", "--tracing=on"):
+            with pytest.raises(SystemExit):
+                build_arg_parser().parse_args(["data.nt", flag])
         path = tmp_path / "paper.amber.json"
         save_engine(paper_engine, path)
-        args = build_arg_parser().parse_args([str(path), "--profile", "--quiet"])
+        args = build_arg_parser().parse_args([str(path), "--metrics", "off", "--quiet"])
         service = build_service(args)
         try:
-            assert service.config.profiling is True
-            assert service.stats()["telemetry"]["profiling"] is True
+            assert service.stats()["telemetry"]["metrics_enabled"] is False
+            assert service.explain(QUERY)["stages"]
         finally:
             service.close()
 

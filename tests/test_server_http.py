@@ -217,13 +217,13 @@ class TestRetryAfter:
     def test_retry_after_tracks_observed_p50(self, overloaded_server):
         service = overloaded_server.service
         for seconds in (2.4, 2.4, 2.6):
-            service.latency.record(seconds)
+            service.latency.observe(seconds)
         error = self._rejected(
             overloaded_server, "/sparql?" + urllib.parse.urlencode({"query": QUERY})
         )
         assert error.headers["Retry-After"] == "3"
         for seconds in (4.2, 4.2, 4.8):
-            service.update_latency.record(seconds)
+            service.update_latency.observe(seconds)
         body = urllib.parse.urlencode(
             {"update": "INSERT DATA { <http://e/s> <http://e/p> <http://e/o> }"}
         ).encode()

@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from repro import AmberEngine, QueryTimeout
-from repro.server import EngineService, LRUCache, LatencyRecorder, ServiceConfig, ServiceOverloaded
+from repro.server import EngineService, LRUCache, ServiceConfig, ServiceOverloaded
+from repro.telemetry import Summary
 
 QUERY = "PREFIX y: <http://dbpedia.org/ontology/> SELECT ?p WHERE { ?p y:wasBornIn ?c . }"
 OTHER = "PREFIX y: <http://dbpedia.org/ontology/> SELECT ?p WHERE { ?p y:livedIn ?c . }"
@@ -49,18 +50,18 @@ class TestLRUCache:
         assert len(cache) == 1
 
 
-class TestLatencyRecorder:
+class TestLatencySummary:
     def test_percentiles_over_window(self):
-        recorder = LatencyRecorder(window=100)
+        recorder = Summary(window=100)
         for value in range(1, 101):
-            recorder.record(value / 100)
+            recorder.observe(value / 100)
         snap = recorder.snapshot()
         assert snap["count"] == 100
         assert snap["p50_seconds"] == pytest.approx(0.5, abs=0.02)
         assert snap["p99_seconds"] == pytest.approx(0.99, abs=0.02)
 
     def test_empty_snapshot(self):
-        snap = LatencyRecorder().snapshot()
+        snap = Summary().snapshot()
         assert snap["count"] == 0
         assert snap["p50_seconds"] is None
 

@@ -17,8 +17,10 @@ import pytest
 
 from repro import AmberEngine
 from repro.cluster import ShardedEngine
+from repro.errors import QueryTimeout
 from repro.server import EngineService, ServiceConfig, serve
 from repro.telemetry import parse_exposition, validate_exposition
+from repro.timing import Deadline
 
 pytestmark = pytest.mark.metrics
 
@@ -194,9 +196,11 @@ class TestStatsMetricsAgreement:
     def test_stats_reports_telemetry_config(self, service):
         telemetry = service.stats()["telemetry"]
         assert telemetry["metrics_enabled"] is True
-        assert telemetry["tracing"] == "auto"
         assert telemetry["slow_query_log"] is None
         assert telemetry["slow_query_ms"] is None  # reported only with a log configured
+        # The per-query record is always on: no tracing/profiling switches.
+        assert "tracing" not in telemetry
+        assert "profiling" not in telemetry
 
 
 class TestExplain:
@@ -251,12 +255,13 @@ class TestExplain:
         finally:
             service.close()
 
-    def test_explain_works_with_tracing_off(self, paper_store):
-        service = make_service(paper_store, tracing="off")
+    def test_explain_works_with_metrics_off(self, paper_store):
+        service = make_service(paper_store, metrics_enabled=False)
         try:
             document = service.explain(QUERY)
             assert document["rows"] == 2
-            assert document["stages"]  # force_tree overrides tracing="off"
+            assert document["stages"]  # EXPLAIN reads the record, not the registry
+            assert document["trace"]["name"] == "query"
         finally:
             service.close()
 
@@ -299,6 +304,31 @@ class TestSlowQueryLog:
             service.close()
         assert not log_path.exists() or log_path.read_text() == ""
 
+    def test_timed_out_read_keeps_its_record(self, paper_store, tmp_path, monkeypatch):
+        """A timeout's log entry names where the deadline fired, with its stages."""
+        log_path = tmp_path / "slow.jsonl"
+        service = make_service(paper_store, slow_query_log_path=str(log_path), slow_query_ms=0.0)
+
+        def expire(self):
+            raise QueryTimeout("forced")
+
+        monkeypatch.setattr(Deadline, "check", expire)
+        try:
+            with pytest.raises(QueryTimeout):
+                service.execute(COMPLEX_QUERY)
+            families = scrape(service)
+        finally:
+            service.close()
+        (entry,) = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert entry["status"] == "timeout"
+        stage_names = [stage["stage"] for stage in entry["stages"]]
+        assert "sparql.parse" in stage_names
+        assert "engine.match" in stage_names
+        assert entry["timed_out_in"].startswith(("algebra.", "amber.", "engine."))
+        assert (
+            counter_total(families, "repro_stage_seconds_count", stage="engine.match") == 1
+        )
+
     def test_slow_query_counter_tracks_log(self, paper_store, tmp_path):
         log_path = tmp_path / "slow.jsonl"
         service = make_service(paper_store, slow_query_log_path=str(log_path), slow_query_ms=0.0)
@@ -315,49 +345,40 @@ class TestSlowQueryLog:
 class TestResourceAccounting:
     """The per-query profile surface: metric families, ANALYZE, slow log."""
 
-    def test_profile_families_feed_from_profiled_reads(self, paper_store):
-        service = make_service(paper_store, profiling=True)
-        try:
-            service.execute(QUERY)
-            service.explain(COMPLEX_QUERY, analyze=True)
-            text = service.prometheus()
-            validate_exposition(text)
-            families = parse_exposition(text)
-            backend = service.engine.match_backend
-            assert counter_total(
-                families, "repro_query_candidates_total", backend=backend, stage="generated"
-            ) > 0
-            assert counter_total(families, "repro_query_solutions_total", backend=backend) > 0
-            assert counter_total(families, "repro_query_operator_rows_total", backend=backend) > 0
-            assert counter_total(families, "repro_query_index_probes_total", backend=backend) > 0
-        finally:
-            service.close()
+    def test_profile_families_feed_from_every_read(self, service):
+        service.execute(QUERY)
+        service.explain(COMPLEX_QUERY, analyze=True)
+        text = service.prometheus()
+        validate_exposition(text)
+        families = parse_exposition(text)
+        backend = service.engine.match_backend
+        assert counter_total(
+            families, "repro_query_candidates_total", backend=backend, stage="generated"
+        ) > 0
+        assert counter_total(families, "repro_query_solutions_total", backend=backend) > 0
+        assert counter_total(families, "repro_query_operator_rows_total", backend=backend) > 0
+        assert counter_total(families, "repro_query_index_probes_total", backend=backend) > 0
 
-    def test_profile_families_round_trip_through_parser(self, paper_store):
-        """Every new family survives an expose -> parse -> validate cycle."""
-        service = make_service(paper_store, profiling=True)
-        try:
-            service.execute(QUERY)
-            text = service.prometheus()
-            validate_exposition(text)
-            families = parse_exposition(text)
-            for family in (
-                "repro_query_candidates_total",
-                "repro_query_intersections_total",
-                "repro_query_index_probes_total",
-                "repro_query_operator_rows_total",
-                "repro_query_solutions_total",
-            ):
-                assert family in families, f"missing metric family {family}"
-                assert families[family]["type"] == "counter"
-        finally:
-            service.close()
+    def test_profile_families_round_trip_through_parser(self, service):
+        """Every counter family survives an expose -> parse -> validate cycle."""
+        service.execute(QUERY)
+        text = service.prometheus()
+        validate_exposition(text)
+        families = parse_exposition(text)
+        for family in (
+            "repro_query_candidates_total",
+            "repro_query_intersections_total",
+            "repro_query_index_probes_total",
+            "repro_query_operator_rows_total",
+            "repro_query_solutions_total",
+        ):
+            assert family in families, f"missing metric family {family}"
+            assert families[family]["type"] == "counter"
 
-    def test_profiling_is_off_by_default(self, service):
+    def test_plain_reads_feed_counter_families(self, service):
         service.execute(QUERY)
         families = scrape(service)
-        assert counter_total(families, "repro_query_candidates_total") == 0
-        assert service.stats()["telemetry"]["profiling"] is False
+        assert counter_total(families, "repro_query_candidates_total") > 0
 
     def test_service_explain_analyze_response(self, service):
         response = service.explain(QUERY, analyze=True)
@@ -387,19 +408,7 @@ class TestResourceAccounting:
         assert document["analyze"] is True
         assert "actual_rows" in document["plan"]
 
-    def test_slow_log_carries_profile_when_profiling(self, paper_store, tmp_path):
-        log_path = tmp_path / "slow.jsonl"
-        service = make_service(
-            paper_store, profiling=True, slow_query_log_path=str(log_path), slow_query_ms=0.0
-        )
-        try:
-            service.execute(QUERY)
-        finally:
-            service.close()
-        entry = json.loads(log_path.read_text().splitlines()[0])
-        assert entry["profile"]["counters"]["candidates.generated"] > 0
-
-    def test_slow_log_has_no_profile_without_profiling(self, paper_store, tmp_path):
+    def test_slow_log_carries_profile(self, paper_store, tmp_path):
         log_path = tmp_path / "slow.jsonl"
         service = make_service(paper_store, slow_query_log_path=str(log_path), slow_query_ms=0.0)
         try:
@@ -407,4 +416,5 @@ class TestResourceAccounting:
         finally:
             service.close()
         entry = json.loads(log_path.read_text().splitlines()[0])
-        assert "profile" not in entry
+        assert entry["profile"]["counters"]["candidates.generated"] > 0
+        assert "timed_out_in" not in entry  # answered, not timed out

@@ -1,4 +1,4 @@
-"""Unit tests of the thread-local span tracer."""
+"""Unit tests of the query record's span tree (the per-query trace)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,13 @@ import threading
 
 import pytest
 
+from repro.errors import QueryTimeout
 from repro.telemetry import (
-    annotate,
-    current_trace,
+    QueryRecord,
+    current_record,
     iter_spans,
-    record_span,
     span,
-    start_trace,
+    start_record,
     timed_iter,
 )
 
@@ -21,48 +21,47 @@ pytestmark = pytest.mark.metrics
 
 class TestSpanNesting:
     def test_children_attach_to_enclosing_span(self):
-        with start_trace("query", keep_tree=True) as trace:
+        with start_record() as record:
             with span("parse"):
                 pass
             with span("match"):
                 with span("scatter"):
                     pass
-        root = trace.root
-        assert root is not None
+        root = record.root
         assert [child.name for child in root.children] == ["parse", "match"]
         assert [child.name for child in root.children[1].children] == ["scatter"]
         assert root.seconds >= root.children[1].children[0].seconds >= 0.0
 
     def test_annotations_land_on_innermost_span(self):
-        with start_trace("query", keep_tree=True) as trace:
+        with start_record() as record:
             with span("match", vertex="v0") as sp:
                 sp.annotate(rows=7)
-                annotate(note="inner")
-        (match,) = trace.root.children
+                record.annotate(note="inner")
+        (match,) = record.root.children
         assert match.attributes == {"vertex": "v0", "rows": 7, "note": "inner"}
 
-    def test_record_span_attaches_preformed_timing(self):
-        with start_trace("query", keep_tree=True) as trace:
-            record_span("shard", 0.25, shard=3)
-        (shard,) = trace.root.children
+    def test_attach_adds_preformed_timing(self):
+        with start_record() as record:
+            record.attach("shard", 0.25, shard=3)
+        (shard,) = record.root.children
         assert shard.seconds == 0.25
         assert shard.attributes == {"shard": 3}
 
     def test_iter_spans_walks_depth_first(self):
-        with start_trace("query", keep_tree=True) as trace:
+        with start_record() as record:
             with span("a"):
                 with span("b"):
                     pass
             with span("c"):
                 pass
-        names = [record.name for record in iter_spans(trace.root)]
+        names = [node.name for node in iter_spans(record.root)]
         assert names == ["query", "a", "b", "c"]
 
     def test_as_dict_round_trip(self):
-        with start_trace("query", keep_tree=True) as trace:
+        with start_record() as record:
             with span("stage", kind="bgp"):
                 pass
-        payload = trace.root.as_dict()
+        payload = record.root.as_dict()
         assert payload["name"] == "query"
         (stage,) = payload["children"]
         assert stage["name"] == "stage"
@@ -71,37 +70,35 @@ class TestSpanNesting:
 
 
 class TestNoOpWhenInactive:
-    def test_span_outside_trace_is_noop(self):
-        assert current_trace() is None
+    def test_span_outside_record_is_noop(self):
+        assert current_record() is None
         with span("orphan") as sp:
             sp.annotate(ignored=True)
-        annotate(ignored=True)
-        record_span("orphan", 0.1)
-        assert current_trace() is None
+        assert current_record() is None
 
-    def test_timed_iter_outside_trace_passes_through(self):
+    def test_timed_iter_outside_record_passes_through(self):
         source = iter([1, 2, 3])
-        assert list(timed_iter("orphan", source)) == [1, 2, 3]
+        assert list(timed_iter("orphan", source, node_id=4)) == [1, 2, 3]
 
-    def test_trace_restored_after_exception(self):
+    def test_record_restored_after_exception(self):
         with pytest.raises(RuntimeError):
-            with start_trace("query", keep_tree=True):
-                assert current_trace() is not None
+            with start_record():
+                assert current_record() is not None
                 raise RuntimeError("boom")
-        assert current_trace() is None
+        assert current_record() is None
 
 
 class TestThreadIsolation:
-    def test_traces_do_not_leak_across_threads(self):
+    def test_records_do_not_leak_across_threads(self):
         barrier = threading.Barrier(2)
         seen: dict[str, list[str]] = {}
 
         def worker(label: str) -> None:
-            with start_trace(f"query-{label}", keep_tree=True) as trace:
-                barrier.wait()  # both traces active simultaneously
+            with start_record(QueryRecord(f"query-{label}")) as record:
+                barrier.wait()  # both records active simultaneously
                 with span(f"stage-{label}"):
                     barrier.wait()
-            seen[label] = [record.name for record in iter_spans(trace.root)]
+            seen[label] = [node.name for node in iter_spans(record.root)]
 
         threads = [threading.Thread(target=worker, args=(label,)) for label in ("a", "b")]
         for thread in threads:
@@ -111,69 +108,76 @@ class TestThreadIsolation:
         assert seen["a"] == ["query-a", "stage-a"]
         assert seen["b"] == ["query-b", "stage-b"]
 
-    def test_worker_thread_sees_no_trace(self):
+    def test_worker_thread_sees_no_record(self):
         observed: list[object] = []
 
         def probe() -> None:
-            observed.append(current_trace())
+            observed.append(current_record())
 
-        with start_trace("query", keep_tree=True):
+        with start_record():
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()
         assert observed == [None]
 
 
-class TestSink:
-    def test_sink_receives_children_before_root(self):
-        order: list[str] = []
-        with start_trace("query", sink=lambda record: order.append(record.name)):
-            with span("outer"):
-                with span("inner"):
-                    pass
-        assert order == ["inner", "outer", "query"]
+class TestTimeoutLocation:
+    def test_innermost_open_span_is_named(self):
+        with start_record() as record:
+            with pytest.raises(QueryTimeout):
+                with span("engine.match"):
+                    with span("amber.candidates"):
+                        raise QueryTimeout("budget spent")
+        assert record.timed_out_in == "amber.candidates"
+        (match,) = record.root.children
+        assert [child.name for child in match.children] == ["amber.candidates"]
 
-    def test_sink_only_trace_discards_tree(self):
-        with start_trace("query", sink=lambda record: None, keep_tree=False) as trace:
-            with span("stage"):
-                pass
-        assert trace.keep_tree is False
-        assert trace.root.children == []
+    def test_operator_stream_is_named(self):
+        def rows():
+            yield 1
+            raise QueryTimeout("budget spent")
 
-    def test_root_seconds_set_before_sink_sees_root(self):
-        captured: list[float] = []
+        with start_record() as record:
+            with pytest.raises(QueryTimeout):
+                with span("engine.match"):
+                    list(timed_iter("algebra.join", rows(), node_id=2))
+        assert record.timed_out_in == "algebra.join"
+        (match,) = record.root.children
+        (join,) = match.children
+        assert join.attributes["rows"] == 1
+        assert record.operator_rows() == {2: 1}
 
-        def sink(record):
-            if record.name == "query":
-                captured.append(record.seconds)
-
-        with start_trace("query", sink=sink):
-            pass
-        assert captured and captured[0] >= 0.0
+    def test_other_errors_name_nothing(self):
+        with start_record() as record:
+            with pytest.raises(ValueError):
+                with span("engine.match"):
+                    raise ValueError("not a timeout")
+        assert record.timed_out_in is None
 
 
 class TestTimedIter:
     def test_exhaustion_records_span_with_row_count(self):
-        with start_trace("query", keep_tree=True) as trace:
+        with start_record() as record:
             rows = list(timed_iter("expand", iter(["r1", "r2", "r3"]), op="expand"))
         assert rows == ["r1", "r2", "r3"]
-        (expand,) = trace.root.children
+        (expand,) = record.root.children
         assert expand.name == "expand"
         assert expand.attributes["rows"] == 3
         assert expand.attributes["op"] == "expand"
 
     def test_early_abandonment_still_records(self):
-        with start_trace("query", keep_tree=True) as trace:
-            iterator = timed_iter("expand", iter(range(100)))
+        with start_record() as record:
+            iterator = timed_iter("expand", iter(range(100)), node_id=5)
             assert next(iterator) == 0
             assert next(iterator) == 1
             iterator.close()
-        (expand,) = trace.root.children
+        (expand,) = record.root.children
         assert expand.attributes["rows"] == 2
+        assert record.counters == {"op.5.rows": 2}
 
-    def test_generator_time_charged_inside_trace(self):
+    def test_generator_time_charged_inside_record(self):
         # The wrapped generator is only pulled lazily: wrapping outside a
-        # trace and consuming inside one must not crash, and vice versa.
+        # record and consuming inside one must not crash, and vice versa.
         iterator = timed_iter("late", iter([1]))
-        with start_trace("query", keep_tree=True):
+        with start_record():
             assert list(iterator) == [1]
