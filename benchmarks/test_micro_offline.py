@@ -2,7 +2,7 @@
 
 These are conventional pytest-benchmark timings (multiple rounds) of the
 individual index structures, complementing the end-to-end Table 5 run:
-multigraph construction, synopsis matrix build, neighbourhood CSR build and
+multigraph construction, synopsis matrix build, neighbourhood index build and
 the two hot index probes used during matching.
 """
 
@@ -41,7 +41,7 @@ def test_micro_signature_index_build(benchmark, yago_data):
 
 
 def test_micro_neighborhood_index_build(benchmark, yago_data):
-    """Neighbourhood index N: the CSR of every (edge type, direction)."""
+    """Neighbourhood index N: the pair-key arrays of every (edge type, direction)."""
     index = benchmark(lambda: ColumnarEdges(yago_data.graph))
     assert index.posting_entries() == 2 * yago_data.graph.multi_edge_count()
 
@@ -62,7 +62,7 @@ def test_micro_signature_probe(benchmark, yago_data):
 
 
 def test_micro_neighborhood_probe(benchmark, yago_data):
-    """Neighbourhood expansion through N's CSR rows (hot online path)."""
+    """Neighbourhood expansion through N's rows (hot online path)."""
     index = ColumnarEdges(yago_data.graph)
     # Pick the highest in-degree vertex: the worst case for an expansion probe.
     hub = max(yago_data.graph.vertices(), key=yago_data.graph.in_degree)

@@ -103,7 +103,7 @@ def main() -> None:
     print(f"  attribute index: {indexes.attributes.attribute_count()} attributes, "
           f"{indexes.attributes.memory_items()} postings")
     print(f"  signature index: {len(indexes.signatures)} synopses, one matrix row each")
-    print(f"  neighbourhood index: {indexes.neighborhoods.posting_entries()} CSR postings "
+    print(f"  neighbourhood index: {indexes.neighborhoods.posting_entries()} postings "
           "(each typed edge once per direction)")
 
     print("\n=== Query decomposition (Figures 2 and 4) ===")

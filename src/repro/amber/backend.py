@@ -1,7 +1,7 @@
 """Pluggable matching cores: the :class:`MatchBackend` protocol.
 
 A backend supplies the engine's **matcher** — the object implementing the
-candidates / star-match / verify protocol plus ``match_component``
+candidates / star-match protocol plus ``match_component``
 (see :class:`~repro.amber.matching.MultigraphMatcher`, whose public
 surface *is* the protocol).  Two implementations ship:
 
@@ -43,7 +43,7 @@ class MatchBackend(Protocol):
     ``EXPLAIN`` plan outlines.  :meth:`matcher` returns the matching core
     — any object honouring the
     :class:`~repro.amber.matching.MultigraphMatcher` protocol
-    (``match_component`` plus candidates / star-match / verify).
+    (``match_component`` plus candidates / star-match).
     """
 
     name: str

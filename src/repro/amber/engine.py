@@ -15,6 +15,7 @@ core/satellite homomorphic matching of Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator, Protocol
 
 from ..index.manager import IndexSet
@@ -36,6 +37,7 @@ from .backend import MatchBackend, resolve_backend
 from .embeddings import columnar_bindings, combine_component_bindings, component_bindings
 from .matching import MatcherConfig, MultigraphMatcher, QueryTimeout
 from .mutation import GraphMutator, UpdateResult
+from .vectorized import ColumnarSolutions
 
 __all__ = [
     "AlgebraPlan",
@@ -722,6 +724,13 @@ class QueryEngineBase:
         return collected
 
 
+def _checked(rows: Iterable[Binding], deadline: Deadline) -> Iterator[Binding]:
+    """``rows``, checking ``deadline`` before each one (as the streamed path does)."""
+    for row in rows:
+        deadline.check()
+        yield row
+
+
 def _bgp_shape(qgraph: QueryMultigraph) -> str:
     """Feedback key of a plain-BGP plan: the query's syntactic pattern list."""
     return f"bgp:{qgraph.query.patterns}"
@@ -803,7 +812,7 @@ class AmberEngine(QueryEngineBase):
         """The shared backend-built matching core (the matcher protocol object).
 
         The cluster scatter stage drives its per-shard star matching through
-        this object's candidates / star-match / verify methods, so a shard's
+        this object's candidates / star-match methods, so a shard's
         backend choice applies there too.
         """
         return self._default_matcher
@@ -946,6 +955,9 @@ class AmberEngine(QueryEngineBase):
 
         The batch is fully enumerated under the query deadline; expanding
         it into rows is left to the caller (lazily, outside the budget).
+        When the frontier passes its budget, the component's rows stream
+        from the scalar DFS instead, under the same deadline, so the
+        frontier is not built a second time by the streamed path.
         """
         if qgraph.unsatisfiable or any(v.unsatisfiable for v in qgraph.vertices.values()):
             return None
@@ -957,7 +969,12 @@ class AmberEngine(QueryEngineBase):
         if columnar is None:
             return None
         timeout = timeout_seconds if timeout_seconds is not None else self.config.timeout_seconds
-        return columnar(qgraph, components[0], Deadline(timeout))
+        deadline = Deadline(timeout)
+        batch = columnar(qgraph, components[0], deadline)
+        if batch is not None:
+            return batch
+        solutions = matcher.match_component_scalar(qgraph, components[0], deadline)
+        return _checked(component_bindings(solutions, qgraph, self.data), deadline)
 
     def _fast_select(
         self,
@@ -983,6 +1000,8 @@ class AmberEngine(QueryEngineBase):
         batch = self._columnar_batch(plan, timeout_seconds)
         if batch is None:
             return None
+        if not isinstance(batch, ColumnarSolutions):
+            return ResultSet.for_query(parsed, batch)
         variables = parsed.answer_variables()
 
         def expand():
@@ -1009,6 +1028,11 @@ class AmberEngine(QueryEngineBase):
         batch = self._columnar_batch(plan, timeout_seconds)
         if batch is None:
             return None
+        if not isinstance(batch, ColumnarSolutions):
+            # Scalar rows: stop once LIMIT + OFFSET rows are counted, as the
+            # streamed count does.
+            needed = None if parsed.limit is None else (parsed.offset or 0) + parsed.limit
+            return sum(1 for _ in islice(batch, needed))
         return batch.total_embeddings()
 
     def _component_rows(

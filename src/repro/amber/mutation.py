@@ -4,14 +4,14 @@ The paper builds the multigraph and the index ensemble ``I = {A, S, N}``
 once, offline.  This module makes the engine *writable*: a
 :class:`GraphMutator` applies triple-level inserts and deletes to the
 :class:`~repro.multigraph.builder.DataMultigraph` and incrementally
-maintains every index so that vertex synopses, the CSR adjacency of ``N``
-and attribute postings stay exactly what a from-scratch build on the
+maintains every index so that vertex synopses, the pair-key arrays of
+``N`` and attribute postings stay exactly what a from-scratch build on the
 mutated triple set would produce (rebuild equivalence — asserted by the
 property tests).
 
-Maintenance cost per triple is local: an edge change patches the two CSRs
-of its edge type and refreshes the synopses of its two endpoints; an
-attribute change touches one inverted list.  The signature index
+Maintenance cost per triple is local: an edge change patches the two
+arrays of its edge type in ``N`` and refreshes the synopses of its two
+endpoints; an attribute change patches one posting of ``A``.  The signature index
 overwrites the synopsis row of each refreshed vertex in place and appends
 rows for new vertices (see
 :class:`~repro.index.signature_index.SignatureIndex`).
@@ -170,14 +170,14 @@ class GraphMutator:
     def _apply_batch(self, triples: Iterable[Triple], insert: bool) -> int:
         """Apply one batch of inserts or deletes, then repair the indexes.
 
-        Attribute postings are edited per delta (exact and O(1)).  Edge
-        deltas and new vertices are collected and handed to
-        :meth:`IndexSet.apply_edge_changes` once at the end of the batch:
-        it patches the two CSRs of each changed edge type and recomputes
-        each touched vertex's synopsis once, however many triples of the
-        batch touch it — a bulk LOAD around a hub vertex stays linear in
-        its size.
+        Deltas are collected and the indexes repaired once at the end of
+        the batch: the attribute pairs patch ``A`` in one copy-on-write
+        step, and :meth:`IndexSet.apply_edge_changes` patches the two
+        arrays of ``N`` per changed edge type and recomputes each touched
+        vertex's synopsis once, however many triples of the batch touch it
+        — a bulk LOAD around a hub vertex stays linear in its size.
         """
+        attributes: list[tuple[int, int]] = []
         edges: list[tuple[int, int, int]] = []
         new_vertices: list[int] = []
         count = 0
@@ -188,12 +188,11 @@ class GraphMutator:
             count += 1
             new_vertices.extend(delta.new_vertices)
             if delta.attribute is not None:
-                if insert:
-                    self.indexes.attributes.add(delta.source, delta.attribute)
-                else:
-                    self.indexes.attributes.remove(delta.source, delta.attribute)
+                attributes.append((delta.source, delta.attribute))
             else:
                 edges.append((delta.source, delta.target, delta.edge_type))
+        if attributes:
+            self.indexes.attributes.apply(self.data.graph, attributes)
         if edges or new_vertices:
             self.indexes.apply_edge_changes(self.data.graph, edges, new_vertices)
         return count

@@ -4,14 +4,14 @@ The scalar :class:`~repro.amber.matching.MultigraphMatcher` recurses one
 candidate at a time over Python sets.  This matcher answers the same
 queries breadth first over **columnar state**: the partial assignments of
 all core vertices live in one ``(n_states, depth)`` int64 array, each
-depth expands every state at once through CSR slices of the data
+depth expands every state at once through row slices of the data
 adjacency (:class:`~repro.index.columnar.ColumnarEdges`), and attribute /
 IRI / multi-edge pruning is batched set algebra on sorted posting arrays
 (``np.intersect1d``, ``searchsorted`` membership) instead of per-row set
 intersections.
 
-Order parity with the scalar matcher is by construction: CSR rows are
-sorted, states expand in state order, so solutions appear in exactly the
+Order parity with the scalar matcher is by construction: adjacency rows
+are sorted, states expand in state order, so solutions appear in exactly the
 DFS lexicographic order ``sorted(candidates)`` produces — the two
 backends return *identical row sequences*, not merely equal multisets.
 
@@ -112,7 +112,7 @@ class VectorizedMatcher(MultigraphMatcher):
     Inherits the full scalar implementation: the recursion is used as the
     fallback (a frontier over the memory budget, or a small
     ``max_solutions`` where DFS short-circuiting beats full enumeration),
-    and the candidates / star-match / verify protocol methods are
+    and the candidates / star-match protocol methods are
     re-pointed at the columnar posting arrays.
     """
 
@@ -133,7 +133,7 @@ class VectorizedMatcher(MultigraphMatcher):
         target_query_vertex: int,
         tally: dict[str, int] | None = None,
     ) -> set[int]:
-        """Batch-intersect the anchor's per-type CSR rows (zero-copy views)."""
+        """Batch-intersect the anchor's per-type adjacency rows (zero-copy views)."""
         pairs = self._required_pairs(qgraph, anchor_query_vertex, target_query_vertex)
         if not pairs:
             return set()
@@ -162,15 +162,21 @@ class VectorizedMatcher(MultigraphMatcher):
             deadline = Deadline(self.config.timeout_seconds)
         batch = self.match_component_columnar(qgraph, component, deadline)
         if batch is None:
-            # Over budget: stream through the scalar DFS, continuing under
-            # the same deadline.
-            _note_fallback("frontier_budget")
-            yield from super().match_component(qgraph, component, deadline)
+            yield from self.match_component_scalar(qgraph, component, deadline)
             return
         record = current_record()
         if record is not None:
             record.count("solutions.emitted", batch.total_embeddings())
         yield from batch.iter_solutions(deadline)
+
+    def match_component_scalar(
+        self, qgraph: QueryMultigraph, component: set[int], deadline: Deadline
+    ) -> Iterator[ComponentSolution]:
+        """The route for a frontier over budget: the scalar DFS, streaming
+        under the deadline the columnar attempt started; counted as one
+        ``frontier_budget`` fallback."""
+        _note_fallback("frontier_budget")
+        return super().match_component(qgraph, component, deadline)
 
     def match_component_columnar(
         self, qgraph: QueryMultigraph, component: set[int], deadline: Deadline | None = None
@@ -326,10 +332,11 @@ class VectorizedMatcher(MultigraphMatcher):
         for constraint in vertex.iri_constraints:
             if constraint.data_vertex is None:
                 return np.empty(0, dtype=np.int64)
-            neighbors = self.indexes.neighborhoods.neighbors(
-                constraint.data_vertex, _flip(constraint.direction), constraint.edge_types
+            direction = _flip(constraint.direction)
+            arrays.extend(
+                self.indexes.neighborhoods.row(constraint.data_vertex, edge_type, direction)
+                for edge_type in constraint.edge_types
             )
-            arrays.append(as_sorted_array(neighbors))
             if tally is not None:
                 tally["index.neighborhood_probes"] += 1
         if tally is not None:
@@ -354,13 +361,13 @@ class VectorizedMatcher(MultigraphMatcher):
     def _anchored_candidates(self, anchors, pairs, narrowed, tally):
         """Candidates per anchor for one target vertex, batched over anchors.
 
-        Expands the cheapest constraint's CSR slices, then masks by pair
+        Expands the cheapest constraint's row slices, then masks by pair
         membership for the remaining constraints and by the target's own
         candidate array.  Returns ``(rows, cands)`` with ``rows`` indexing
         into ``anchors``; blocks are anchor-ordered and sorted within.
         """
         columnar = self.indexes.neighborhoods
-        sizes = [len(columnar.csr(t, d)[1]) for d, t in pairs]
+        sizes = [len(columnar.arrays(t, d)[0]) for d, t in pairs]
         primary = sizes.index(min(sizes))
         d0, t0 = pairs[primary][0], pairs[primary][1]
         rows, cands = columnar.slice_neighbors(anchors, t0, d0)
@@ -387,7 +394,7 @@ class VectorizedMatcher(MultigraphMatcher):
     ):
         """Expand every state by the next core vertex's candidates at once.
 
-        The cheapest (anchor, edge type) constraint drives the CSR
+        The cheapest (anchor, edge type) constraint drives the row
         expansion; every other constraint — further required types on the
         same anchor, and the full multi-edges towards every other matched
         anchor — filters the expanded pairs by batched key membership,
@@ -401,12 +408,13 @@ class VectorizedMatcher(MultigraphMatcher):
                 qgraph, ordered_core[column], vertex
             )
         ]
-        sizes = [len(columnar.csr(t, d)[1]) for _, d, t in constraints]
+        sizes = [len(columnar.arrays(t, d)[0]) for _, d, t in constraints]
         primary = sizes.index(min(sizes))
         column0, d0, t0 = constraints[primary]
-        if columnar.slice_count(states[:, column0], t0, d0) > MAX_EXPANSION:
+        expanded = columnar.slice_neighbors(states[:, column0], t0, d0, MAX_EXPANSION)
+        if expanded is None:
             raise _FrontierOverflow
-        rows, cands = columnar.slice_neighbors(states[:, column0], t0, d0)
+        rows, cands = expanded
         if tally is not None:
             tally["index.neighborhood_probes"] += len(constraints)
             tally["candidates.generated"] += len(cands)

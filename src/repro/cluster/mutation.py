@@ -106,19 +106,20 @@ class ClusterMutator:
             return
         source = self.engine.shards[home].data.graph
         target = self.engine.shards[shard]
-        for attribute in sorted(source.attributes(vertex)):
-            if attribute not in target.data.graph.attributes(vertex):
-                target.data.graph.add_attribute(vertex, attribute)
-                target.indexes.attributes.add(vertex, attribute)
-                target.data.triple_count += 1
+        added = sorted(source.attributes(vertex) - target.data.graph.attributes(vertex))
+        for attribute in added:
+            target.data.graph.add_attribute(vertex, attribute)
+        target.indexes.attributes.apply(target.data.graph, [(vertex, a) for a in added])
+        target.data.triple_count += len(added)
 
     def _strip_halo(self, vertex: int, shard: int) -> None:
         """Drop the replicated attributes of a halo vertex that lost its last edge."""
         target = self.engine.shards[shard]
-        for attribute in sorted(target.data.graph.attributes(vertex)):
+        removed = sorted(target.data.graph.attributes(vertex))
+        for attribute in removed:
             target.data.graph.remove_attribute(vertex, attribute)
-            target.indexes.attributes.remove(vertex, attribute)
-            target.data.triple_count -= 1
+        target.indexes.attributes.apply(target.data.graph, [(vertex, a) for a in removed])
+        target.data.triple_count -= len(removed)
 
     # ------------------------------------------------------------------ #
     # triple-level primitives
@@ -136,7 +137,7 @@ class ClusterMutator:
                 data = engine.shards[shard].data
                 if attribute not in data.graph.attributes(vertex):
                     data.graph.add_attribute(vertex, attribute)
-                    engine.shards[shard].indexes.attributes.add(vertex, attribute)
+                    engine.shards[shard].indexes.attributes.apply(data.graph, [(vertex, attribute)])
                     data.triple_count += 1
             engine.data.triple_count += 1
             return True
@@ -182,7 +183,7 @@ class ClusterMutator:
                 data = engine.shards[shard].data
                 if attribute is not None and attribute in data.graph.attributes(vertex):
                     data.graph.remove_attribute(vertex, attribute)
-                    engine.shards[shard].indexes.attributes.remove(vertex, attribute)
+                    engine.shards[shard].indexes.attributes.apply(data.graph, [(vertex, attribute)])
                     data.triple_count -= 1
             engine.data.triple_count -= 1
             return True

@@ -6,7 +6,7 @@ the **1-hop halo** of that subset: every edge incident on an owned vertex
 edges drag in.  The consequence the cluster engine relies on everywhere:
 
 * an owned vertex has its *complete* neighbourhood — edges, multi-edge
-  signature and CSR rows of ``N`` — inside its shard, so any star subquery rooted
+  signature and adjacency rows of ``N`` — inside its shard, so any star subquery rooted
   at it evaluates shard-locally and exactly;
 * halo vertices carry their full attribute sets, so satellite-leaf
   attribute refinement is also exact shard-locally.

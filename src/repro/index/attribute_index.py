@@ -1,64 +1,81 @@
 """Attribute index ``A`` (Section 4.1): an inverted list per vertex attribute.
 
-For every attribute id ``a`` the index stores the set of data vertices that
-carry ``a``.  Candidate solutions for a query vertex with attribute set
-``u.A`` are obtained by intersecting the inverted lists of every attribute
-in ``u.A``.
+For every attribute id ``a`` the index stores the data vertices that carry
+``a``.  Candidate solutions for a query vertex with attribute set ``u.A``
+are obtained by intersecting the inverted lists of every attribute in
+``u.A``.
+
+The lists are one sorted int64 array of pair keys ``(a << 32) | vertex``
+plus its vertex column, the layout of one array of the neighbourhood index
+(:mod:`repro.index.columnar`): attribute ``a``'s inverted list is the run
+of keys in ``[a << 32, (a + 1) << 32)``, read as a zero-copy view of the
+vertex column.  The index costs 16 bytes per posting, with no Python set
+per attribute (most attributes name a single vertex).
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
+import numpy as np
+
 from ..multigraph.graph import Multigraph
-from .columnar import as_sorted_array, intersect_sorted
+from .columnar import COLUMN_MASK, ROW_SHIFT, check_ids, intersect_sorted, patch_pairs, row_view
 
 __all__ = ["AttributeIndex"]
 
 
 class AttributeIndex:
-    """Inverted list from attribute id to the set of data vertices carrying it."""
+    """Inverted lists from attribute id to the data vertices carrying it."""
 
     def __init__(self, graph: Multigraph | None = None):
-        self._postings: dict[int, set[int]] = {}
-        #: Lazily built sorted posting arrays for the vectorized backend,
-        #: dropped per attribute on mutation so they never serve stale data.
-        self._arrays: dict[int, object] = {}
+        #: ``(vertices, keys)``: sorted ``(attribute << 32) | vertex`` keys
+        #: and their vertex column.  Replaced, never written in place, so a
+        #: posting view handed to a reader stays valid across updates.
+        empty = np.empty(0, dtype=np.int64)
+        self._arrays: tuple = (empty, empty)
         if graph is not None:
             self.build(graph)
 
     def build(self, graph: Multigraph) -> "AttributeIndex":
         """(Re)build the inverted lists from the data multigraph."""
-        self._postings.clear()
-        self._arrays.clear()
-        for vertex in graph.vertices():
-            for attribute in graph.attributes(vertex):
-                self._postings.setdefault(attribute, set()).add(vertex)
+        check_ids(max(graph.vertices(), default=-1))
+        keys = np.fromiter(
+            (
+                (attribute << ROW_SHIFT) | vertex
+                for vertex in graph.vertices()
+                for attribute in graph.attributes(vertex)
+            ),
+            dtype=np.int64,
+        )
+        keys.sort()
+        self._arrays = (keys & COLUMN_MASK, keys)
         return self
 
-    def add(self, vertex: int, attribute: int) -> None:
-        """Incrementally register ``attribute`` on ``vertex``."""
-        self._postings.setdefault(attribute, set()).add(vertex)
-        self._arrays.pop(attribute, None)
+    def apply(self, graph: Multigraph, pairs: Iterable[tuple[int, int]]) -> None:
+        """Patch the lists for a batch of ``(vertex, attribute)`` pairs.
 
-    def remove(self, vertex: int, attribute: int) -> None:
-        """Incrementally drop ``attribute`` from ``vertex``.
-
-        Empty inverted lists are deleted so the index stays identical to a
-        from-scratch build on the mutated graph (size reporting included).
+        ``graph`` holds each pair's final state; the arrays are replaced in
+        one copy-on-write patch, so they stay identical to a from-scratch
+        build on the mutated graph (size reporting included).
         """
-        posting = self._postings.get(attribute)
-        if posting is None:
-            return
-        posting.discard(vertex)
-        self._arrays.pop(attribute, None)
-        if not posting:
-            del self._postings[attribute]
+        wanted: dict[int, bool] = {}
+        for vertex, attribute in pairs:
+            check_ids(max(vertex, attribute))
+            wanted[(attribute << ROW_SHIFT) | vertex] = attribute in graph.attributes(vertex)
+        if wanted:
+            self._arrays = patch_pairs(*self._arrays, wanted)
+
+    def posting_array(self, attribute: int):
+        """Return the inverted list of ``attribute``: a sorted, zero-copy int64 view."""
+        return row_view(*self._arrays, attribute)
 
     def vertices_with(self, attribute: int) -> frozenset[int]:
         """Return the vertices carrying ``attribute`` (empty when unknown)."""
-        return frozenset(self._postings.get(attribute, ()))
+        return frozenset(self.posting_array(attribute).tolist())
 
-    def candidates(self, attributes: set[int] | frozenset[int]) -> set[int]:
-        """Return data vertices carrying *all* attributes in ``attributes``.
+    def candidate_array(self, attributes: set[int] | frozenset[int]):
+        """Data vertices carrying *all* ``attributes``, as a sorted int64 array.
 
         An empty attribute set is a caller error because the null attribute
         ``{-}`` imposes no constraint; callers should not query the index in
@@ -66,43 +83,20 @@ class AttributeIndex:
         """
         if not attributes:
             raise ValueError("attribute candidate lookup requires a non-empty attribute set")
-        postings = sorted((self._postings.get(a, set()) for a in attributes), key=len)
-        first = postings[0]
-        if not first:
-            return set()
-        result = set(first)
-        for posting in postings[1:]:
-            result &= posting
-            if not result:
-                break
-        return result
-
-    def posting_array(self, attribute: int):
-        """Return the inverted list of ``attribute`` as a sorted int64 array.
-
-        Arrays are memoised per attribute and invalidated by :meth:`add` /
-        :meth:`remove`, so under SPARQL UPDATE they stay byte-identical to a
-        rebuild.
-        """
-        array = self._arrays.get(attribute)
-        if array is None:
-            array = as_sorted_array(self._postings.get(attribute, ()))
-            self._arrays[attribute] = array
-        return array
-
-    def candidate_array(self, attributes: set[int] | frozenset[int]):
-        """Columnar :meth:`candidates`: batch-intersect sorted posting arrays."""
-        if not attributes:
-            raise ValueError("attribute candidate lookup requires a non-empty attribute set")
         return intersect_sorted([self.posting_array(a) for a in attributes])
+
+    def candidates(self, attributes: set[int] | frozenset[int]) -> set[int]:
+        """:meth:`candidate_array` as a Python set (the scalar matcher's form)."""
+        return set(self.candidate_array(attributes).tolist())
 
     def attribute_count(self) -> int:
         """Return the number of distinct attributes indexed."""
-        return len(self._postings)
+        keys = self._arrays[1]
+        return len(np.unique(keys >> ROW_SHIFT))
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return self.attribute_count()
 
     def memory_items(self) -> int:
         """Return the total number of postings (for Table-5 style size reporting)."""
-        return sum(len(vertices) for vertices in self._postings.values())
+        return len(self._arrays[1])

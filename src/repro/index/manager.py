@@ -1,7 +1,8 @@
 """The index ensemble ``I = {A, S, N}`` built during the offline stage.
 
-``N`` is the CSR adjacency of :class:`~repro.index.columnar.ColumnarEdges`:
-both match backends read it, and updates patch it per changed edge.
+``N`` is :class:`~repro.index.columnar.ColumnarEdges`, sorted pair keys
+per (edge type, direction): both match backends read it, and updates
+patch it per changed edge.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class IndexBuildReport:
     """Timing and size information for Table 5 (offline stage).
 
     The item counts are the stored index entries: attribute postings,
-    synopsis rows, and CSR posting entries of ``N`` (each ``(edge, type)``
+    synopsis rows, and posting entries of ``N`` (each ``(edge, type)``
     pair once per direction, i.e. 2 × Σ|multi-edge|).
     """
 
@@ -56,8 +57,8 @@ class IndexSet:
     ):
         self.attributes = attributes
         self.signatures = signatures
-        #: ``N``: CSR adjacency per (edge type, direction), patched per edge
-        #: on update.
+        #: ``N``: sorted pair keys per (edge type, direction), patched per
+        #: edge on update.
         self.neighborhoods = neighborhoods
         self.report = report
 
@@ -97,17 +98,17 @@ class IndexSet:
         Called once per batch by :class:`repro.amber.mutation.GraphMutator`
         with the ``(source, target, edge type)`` triples it inserted or
         deleted and the vertices it created.  Each changed edge type patches
-        its two CSRs of ``N`` and the synopsis of every touched vertex is
+        its two arrays of ``N`` and the synopsis of every touched vertex is
         recomputed once, so ``S`` and ``N`` stay exact without an offline
-        rebuild.  The attribute index is maintained directly via
-        :meth:`AttributeIndex.add` / :meth:`AttributeIndex.remove`.
+        rebuild.  The attribute index is patched separately, by
+        :meth:`AttributeIndex.apply`.
         """
         touched = set(new_vertices)
         for source, target, _ in edges:
             touched.update((source, target))
         for vertex in touched:
             self.signatures.refresh(graph, vertex)
-        self.neighborhoods.apply(graph, edges, new_vertices)
+        self.neighborhoods.apply(graph, edges)
 
 
 def build_indexes(data: DataMultigraph) -> IndexSet:

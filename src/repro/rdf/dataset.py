@@ -24,11 +24,13 @@ class TripleStore:
     """A set-semantics in-memory RDF triple store.
 
     Duplicate triples are ignored.  Pattern matching treats ``None`` as a
-    wildcard, mirroring the classic ``triples((s, p, o))`` API.
+    wildcard, mirroring the classic ``triples((s, p, o))`` API.  Iteration
+    follows insertion order, so ids assigned from a walk over the store
+    (``AmberEngine.from_store``) do not depend on ``PYTHONHASHSEED``.
     """
 
     def __init__(self, triples: Iterable[Triple] | None = None):
-        self._triples: set[Triple] = set()
+        self._triples: dict[Triple, None] = {}
         self._spo: dict[Term, dict[IRI, set[Term]]] = defaultdict(lambda: defaultdict(set))
         self._pos: dict[IRI, dict[Term, set[Term]]] = defaultdict(lambda: defaultdict(set))
         self._osp: dict[Term, dict[Term, set[IRI]]] = defaultdict(lambda: defaultdict(set))
@@ -43,7 +45,7 @@ class TripleStore:
         """Add one triple; return True if it was not already present."""
         if triple in self._triples:
             return False
-        self._triples.add(triple)
+        self._triples[triple] = None
         s, p, o = triple.subject, triple.predicate, triple.object
         self._spo[s][p].add(o)
         self._pos[p][o].add(s)
@@ -58,7 +60,7 @@ class TripleStore:
         """Remove one triple; return True if it was present."""
         if triple not in self._triples:
             return False
-        self._triples.discard(triple)
+        del self._triples[triple]
         s, p, o = triple.subject, triple.predicate, triple.object
         self._spo[s][p].discard(o)
         self._pos[p][o].discard(s)

@@ -1,10 +1,10 @@
 """Rebuild-equivalence check shared by the update tests.
 
 ``assert_indexes_exact`` compares every index an update maintains in place
-with a fresh build on the same (mutated) graph: attribute postings,
+with a fresh build on the same (mutated) graph: the arrays of ``A``,
 synopses and the signature matrix, the neighbourhood answers of ``N`` for
-every vertex, side, single edge type and full multi-edge, and every CSR
-array of ``N`` exactly.
+every vertex, side, single edge type and full multi-edge, and every array
+of ``N`` exactly.
 """
 
 from __future__ import annotations
@@ -17,28 +17,27 @@ from repro.index.signature_index import SignatureIndex
 from repro.index.synopsis import data_synopsis, signature_of
 from repro.multigraph.query_graph import INCOMING, OUTGOING
 
-__all__ = ["assert_indexes_exact", "assert_columnar_exact"]
+__all__ = ["assert_indexes_exact", "assert_columnar_exact", "assert_attributes_exact"]
 
 
 def assert_columnar_exact(columnar: ColumnarEdges, graph) -> None:
-    """Assert every CSR equals a fresh :class:`ColumnarEdges` build.
+    """Assert every array of ``N`` equals a fresh :class:`ColumnarEdges` build.
 
-    ``indptr`` is compared over the id range both cover (the maintained
-    one may carry more headroom, whose rows must be empty); pair keys are
-    compared under the maintained stride.
+    The same (type, direction) entries exist on both sides, and each
+    entry's ``neighbors`` and pair ``keys`` are equal element for element.
     """
     fresh = ColumnarEdges(graph)
-    stride = columnar.stride
-    for key in set(columnar._csr) | set(fresh._csr):
-        indptr, neighbors, keys = columnar.csr(*key)
-        fresh_indptr, fresh_neighbors, _ = fresh.csr(*key)
-        shared = min(len(indptr), len(fresh_indptr))
-        assert np.array_equal(indptr[:shared], fresh_indptr[:shared]), key
-        assert (indptr[shared:] == len(neighbors)).all(), key
-        assert (fresh_indptr[shared:] == len(fresh_neighbors)).all(), key
-        assert np.array_equal(neighbors, fresh_neighbors), key
-        rows = np.repeat(np.arange(len(fresh_indptr) - 1), np.diff(fresh_indptr))
-        assert np.array_equal(keys, rows * stride + fresh_neighbors), key
+    assert set(columnar._arrays) == set(fresh._arrays)
+    for key, (neighbors, keys) in fresh._arrays.items():
+        maintained_neighbors, maintained_keys = columnar.arrays(*key)
+        assert np.array_equal(maintained_neighbors, neighbors), key
+        assert np.array_equal(maintained_keys, keys), key
+
+
+def assert_attributes_exact(attributes: AttributeIndex, graph) -> None:
+    """Assert the arrays of ``A`` equal a fresh :class:`AttributeIndex` build."""
+    for maintained, fresh in zip(attributes._arrays, AttributeIndex(graph)._arrays):
+        assert np.array_equal(maintained, fresh)
 
 
 def assert_neighbors_exact(maintained: ColumnarEdges, graph) -> None:
@@ -72,7 +71,7 @@ def assert_indexes_exact(engine) -> None:
     """
     graph = engine.data.graph
     indexes = engine.indexes
-    assert indexes.attributes._postings == AttributeIndex(graph)._postings
+    assert_attributes_exact(indexes.attributes, graph)
     for vertex in graph.vertices():
         expected = data_synopsis(signature_of(graph, vertex))
         assert indexes.signatures.synopsis(vertex) == expected

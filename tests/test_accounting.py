@@ -189,6 +189,27 @@ class TestScalarFallback:
         payload = engine.execute(self.CHAIN_QUERY, mode="analyze").plan
         assert payload["profile"]["counters"][vectorized.FALLBACK_COUNTER] == 1
 
+    def test_an_overflowing_frontier_is_built_once(self, engine, monkeypatch):
+        calls = []
+        frontier = vectorized.VectorizedMatcher._columnar_frontier
+
+        def counting_frontier(self, *args):
+            calls.append(1)
+            return frontier(self, *args)
+
+        monkeypatch.setattr(vectorized.VectorizedMatcher, "_columnar_frontier", counting_frontier)
+        monkeypatch.setattr(vectorized, "MAX_EXPANSION", 0)
+        with start_record() as record:
+            assert len(engine.query(self.CHAIN_QUERY)) == 2
+        assert len(calls) == 1
+        assert record.counters[vectorized.FALLBACK_COUNTER] == 1
+        assert self.match_span(record).attributes["fallback"] == "frontier_budget"
+        calls.clear()
+        assert engine.count(self.CHAIN_QUERY) == 2
+        assert engine.count(self.CHAIN_QUERY + " LIMIT 1") == 1
+        assert engine.count(self.CHAIN_QUERY + " OFFSET 1") == 1
+        assert len(calls) == 3
+
     def test_small_limit_fallback(self, engine):
         with start_record() as record:
             engine.query(BGP_QUERY, max_solutions=1)

@@ -220,7 +220,7 @@ class TestPostingArrays:
         engine.apply_update(f'DELETE DATA {{ <{E}n0> <{E}tag> "even" . }}')
         after = attrs.posting_array(attribute)
         assert vertex not in after.tolist()
-        # The memoized array always mirrors the maintained posting set.
+        # The posting view always mirrors the maintained arrays.
         assert after.tolist() == sorted(attrs.vertices_with(attribute))
         engine.apply_update(f'INSERT DATA {{ <{E}n0> <{E}tag> "even" . }} ')
         assert vertex in attrs.posting_array(attribute).tolist()

@@ -1,5 +1,11 @@
 """Unit tests for the in-memory triple store and its permutation indexes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.rdf.dataset import TripleStore
 from repro.rdf.terms import IRI, Literal, Triple
 
@@ -114,3 +120,55 @@ class TestLoading:
         store = TripleStore.from_turtle("@prefix ex: <http://e/> . ex:a ex:p ex:b .")
         assert len(store) == 1
         assert store.namespaces.expand("ex:a") == IRI("http://e/a")
+
+
+#: Builds an engine from a generated store and prints its edge-type ids and
+#: the candidates one scalar BGP generates (both depend on the order in
+#: which the store is walked).
+_ID_PROBE = """
+import json
+from repro import AmberEngine
+from repro.datasets import DbpediaGenerator
+from repro.rdf.dataset import TripleStore
+from repro.telemetry.record import start_record
+
+O = "http://repro.example.org/ontology/"
+store = TripleStore(DbpediaGenerator(entities_per_domain=120, seed=3).generate())
+engine = AmberEngine.from_store(store, backend="scalar")
+query = (
+    f"SELECT ?p ?c ?r ?k WHERE {{ ?p <{O}person/birthPlace> ?c . "
+    f"?p <{O}person/residence> ?r . ?c <{O}place/country> ?k . }}"
+)
+with start_record() as record:
+    rows = len(engine.query(query))
+edge_types = {str(iri): n for iri, n in engine.data.dictionaries.edge_types.items()}
+print(json.dumps([edge_types, record.counters["candidates.generated"], rows]))
+"""
+
+
+class TestIterationOrder:
+    def test_iteration_follows_insertion_order(self):
+        triples = [t("c", "p", "a"), t("a", "p", "b"), t("b", "q", "c")]
+        store = TripleStore(triples)
+        store.add(t("a", "q", "a"))
+        store.remove(t("a", "p", "b"))
+        assert list(store) == [t("c", "p", "a"), t("b", "q", "c"), t("a", "q", "a")]
+
+    def test_engine_ids_do_not_depend_on_the_hash_seed(self):
+        source = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for seed in ("1", "8"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(source))
+            completed = subprocess.run(
+                [sys.executable, "-c", _ID_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(json.loads(completed.stdout))
+        (types_1, candidates_1, rows_1), (types_8, candidates_8, rows_8) = outputs
+        assert types_1 == types_8
+        assert candidates_1 == candidates_8
+        assert rows_1 == rows_8 > 0

@@ -250,8 +250,10 @@ class TestMaintenanceCost:
         return calls
 
     def _untouched(self, engine, before, edge_type):
-        csr = engine.indexes.neighborhoods._csr
-        return [key for key, arrays in before.items() if key[0] != edge_type and csr[key] is arrays]
+        current = engine.indexes.neighborhoods._arrays
+        return [
+            key for key, arrays in before.items() if key[0] != edge_type and current[key] is arrays
+        ]
 
     @pytest.mark.parametrize("operation", ["INSERT", "DELETE"])
     def test_one_edge_on_a_hub_is_constant_work(self, hub_engine, monkeypatch, operation):
@@ -260,7 +262,7 @@ class TestMaintenanceCost:
         target = "n7" if operation == "DELETE" else "n3"
         if operation == "INSERT":
             engine.apply_update(f"DELETE DATA {{ <{E}hub> <{E}link> <{E}{target}> }}")
-        before = dict(engine.indexes.neighborhoods._csr)
+        before = dict(engine.indexes.neighborhoods._arrays)
         calls = self._spy(monkeypatch)
         result = engine.apply_update(f"{operation} DATA {{ <{E}hub> <{E}link> <{E}{target}> }}")
         assert result.changed
@@ -271,16 +273,17 @@ class TestMaintenanceCost:
 
     def test_a_new_vertex_drops_no_cached_csr(self, hub_engine, monkeypatch):
         engine = hub_engine
-        before = dict(engine.indexes.neighborhoods._csr)
+        before = dict(engine.indexes.neighborhoods._arrays)
         calls = self._spy(monkeypatch)
         engine.apply_update(f'INSERT DATA {{ <{E}fresh> <{E}name> "new" }}')
         assert calls == {"build": 0}
-        assert set(engine.indexes.neighborhoods._csr) == set(before)
-        assert all(engine.indexes.neighborhoods._csr[key] is csr for key, csr in before.items())
+        assert set(engine.indexes.neighborhoods._arrays) == set(before)
+        current = engine.indexes.neighborhoods._arrays
+        assert all(current[key] is arrays for key, arrays in before.items())
         engine.apply_update(f"INSERT DATA {{ <{E}fresh2> <{E}kind1> <{E}hub> }}")
         assert calls["build"] == 0
         kind1 = engine.data.edge_type_id(IRI(E + "kind1"))
-        assert set(engine.indexes.neighborhoods._csr) == set(before)
+        assert set(engine.indexes.neighborhoods._arrays) == set(before)
         others = [key for key in before if key[0] != kind1]
         assert self._untouched(engine, before, kind1) == others
         assert_indexes_exact(engine)
