@@ -180,13 +180,14 @@ class QueryEngineBase:
 
     Subclasses provide ``self.data`` (anything exposing the dictionary
     lookups :func:`build_query_multigraph` and the binding translation
-    need), ``self.config`` (a :class:`MatcherConfig`), ``self.plan_cache``
-    and ``self.data_version``, plus the :meth:`_component_rows` hook that
-    streams the bindings of one connected query component.  Everything
-    else — plan preparation/caching, solution streaming, DISTINCT/LIMIT/
-    OFFSET-aware counting, cross-products of disconnected components,
-    FILTER/UNION/OPTIONAL evaluation over per-block plans and
-    cache invalidation on mutation — lives here, so the single-process
+    need), ``self.config`` (a :class:`MatcherConfig`), ``self.plan_cache``,
+    ``self.data_version`` and ``self.mutator`` (what applies updates), plus
+    the :meth:`_component_rows` hook that streams the bindings of one
+    connected query component.  Everything else — plan preparation/caching,
+    solution streaming, DISTINCT/LIMIT/OFFSET-aware counting,
+    cross-products of disconnected components, FILTER/UNION/OPTIONAL
+    evaluation over per-block plans, the update API and cache invalidation
+    on mutation — lives here, so the single-process
     :class:`AmberEngine` and the scatter–gather
     :class:`repro.cluster.ShardedEngine` answer queries through exactly
     the same code path.
@@ -572,6 +573,43 @@ class QueryEngineBase:
         return None
 
     # ------------------------------------------------------------------ #
+    # dynamic updates (applied by ``self.mutator``)
+    # ------------------------------------------------------------------ #
+    def apply_update(
+        self, update: str | UpdateRequest, base_dir: str | None = None
+    ) -> UpdateResult:
+        """Apply a SPARQL UPDATE (INSERT DATA / DELETE DATA / LOAD) in place.
+
+        The multigraph and every index are maintained incrementally, so the
+        engine keeps answering queries with exactly the results a fresh
+        offline build on the mutated triple set would produce.  When the
+        graph changed, :attr:`data_version` is bumped and the plan cache is
+        invalidated (prepared plans embed dictionary ids and
+        satisfiability decisions that mutations can flip).
+
+        A cluster routes the triples to their owning shards.  The engine
+        performs no locking: concurrent readers must be excluded by the
+        caller — :class:`repro.server.EngineService` wraps this in the write
+        side of a reader-writer lock.
+        """
+        request = parse_update(update) if isinstance(update, str) else update
+        result = self.mutator.apply(request, base_dir=base_dir)
+        self._commit(result.changed)
+        return result
+
+    def insert_triples(self, triples: Iterable[Triple]) -> int:
+        """Insert triples (set semantics); returns how many were new."""
+        count = self.mutator.insert_triples(triples)
+        self._commit(count > 0)
+        return count
+
+    def delete_triples(self, triples: Iterable[Triple]) -> int:
+        """Delete triples; returns how many were present."""
+        count = self.mutator.delete_triples(triples)
+        self._commit(count > 0)
+        return count
+
+    # ------------------------------------------------------------------ #
     # mutation plumbing shared with subclasses
     # ------------------------------------------------------------------ #
     def _commit(self, changed: bool) -> None:
@@ -781,7 +819,8 @@ class AmberEngine(QueryEngineBase):
         self.data_version = 0
         #: Cost-based algebra planner, fed by this engine's block estimator.
         self.planner = QueryPlanner()
-        self._mutator = GraphMutator(data, indexes)
+        #: Applies updates; a cluster routes each shard's share through it.
+        self.mutator = GraphMutator(data, indexes)
 
     @property
     def config(self) -> MatcherConfig:
@@ -893,42 +932,6 @@ class AmberEngine(QueryEngineBase):
     ) -> "AmberEngine":
         """Build the engine from a Turtle document string."""
         return cls.from_triples(parse_turtle(text), config=config, backend=backend)
-
-    # ------------------------------------------------------------------ #
-    # dynamic updates
-    # ------------------------------------------------------------------ #
-    def apply_update(
-        self, update: str | UpdateRequest, base_dir: str | None = None
-    ) -> UpdateResult:
-        """Apply a SPARQL UPDATE (INSERT DATA / DELETE DATA / LOAD) in place.
-
-        The multigraph and every index are maintained incrementally, so the
-        engine keeps answering queries with exactly the results a fresh
-        offline build on the mutated triple set would produce.  When the
-        graph changed, :attr:`data_version` is bumped and the plan cache is
-        invalidated (prepared plans embed dictionary ids and
-        satisfiability decisions that mutations can flip).
-
-        The engine performs no locking: concurrent readers must be excluded
-        by the caller — :class:`repro.server.EngineService` wraps this in
-        the write side of a reader-writer lock.
-        """
-        request = parse_update(update) if isinstance(update, str) else update
-        result = self._mutator.apply(request, base_dir=base_dir)
-        self._commit(result.changed)
-        return result
-
-    def insert_triples(self, triples: Iterable[Triple]) -> int:
-        """Insert triples (set semantics); returns how many were new."""
-        count = self._mutator.insert_triples(triples)
-        self._commit(count > 0)
-        return count
-
-    def delete_triples(self, triples: Iterable[Triple]) -> int:
-        """Delete triples; returns how many were present."""
-        count = self._mutator.delete_triples(triples)
-        self._commit(count > 0)
-        return count
 
     # ------------------------------------------------------------------ #
     # internals

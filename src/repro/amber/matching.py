@@ -278,7 +278,7 @@ class MultigraphMatcher:
                 return
 
     # ------------------------------------------------------------------ #
-    # the MatchBackend matcher protocol: candidates / star-match
+    # the MatchBackend matcher protocol: candidates / star-match / verify
     # (used by the cluster scatter stage and by alternative backends).
     # ``tally`` is the caller's counter tally (see ``_MatchRun``); None
     # leaves the work uncounted.
@@ -303,6 +303,41 @@ class MultigraphMatcher:
         if within is not None:
             found &= within
         return found
+
+    def match_satellites(
+        self,
+        qgraph: QueryMultigraph,
+        satellites: list[int],
+        core_vertex: int,
+        data_vertex: int,
+        tally: dict[str, int] | None = None,
+    ) -> dict[int, set[int]] | None:
+        """Star-match: resolve the satellites of one matched core vertex.
+
+        Returns one candidate set per satellite (the factored solution-set
+        representation of Lemma 2), or None when any satellite has no match.
+        """
+        return self._match_satellites(qgraph, satellites, core_vertex, data_vertex, tally)
+
+    def verify_embedding(self, qgraph: QueryMultigraph, embedding: dict[int, int]) -> bool:
+        """Verify one full query-vertex -> data-vertex mapping edge by edge.
+
+        The ground-truth check behind every backend: attributes, IRI
+        constraints and multi-edge containment are re-tested against the
+        indexes, independent of how the embedding was produced.  Used by
+        the test suite to cross-check scalar and vectorized solutions.
+        """
+        for query_vertex, data_vertex in embedding.items():
+            refined = self._process_vertex(qgraph.vertices[query_vertex])
+            if refined is not None and data_vertex not in refined:
+                return False
+        for source, target, types in qgraph.graph.edges():
+            if source not in embedding or target not in embedding:
+                continue
+            found = self.indexes.neighborhoods.neighbors(embedding[target], INCOMING, types)
+            if embedding[source] not in found:
+                return False
+        return True
 
     def vertex_candidates(
         self, vertex: QueryVertex, tally: dict[str, int] | None = None

@@ -9,12 +9,14 @@ maintains every index so that vertex synopses, the pair-key arrays of
 mutated triple set would produce (rebuild equivalence — asserted by the
 property tests).
 
-Maintenance cost per triple is local: an edge change patches the two
-arrays of its edge type in ``N`` and refreshes the synopses of its two
-endpoints; an attribute change patches one posting of ``A``.  The signature index
-overwrites the synopsis row of each refreshed vertex in place and appends
-rows for new vertices (see
-:class:`~repro.index.signature_index.SignatureIndex`).
+The graph changes triple by triple; the indexes are repaired once per
+request (:meth:`GraphMutator.batch`).  The repair copies the two arrays of
+``N`` for each changed edge type, copies ``A``'s arrays once when an
+attribute changed (both are replaced copy-on-write, so the cost is linear
+in the arrays' length, not in the request's), and refreshes the synopsis
+of each touched vertex once.  The signature index overwrites the synopsis
+row of each refreshed vertex in place and appends rows for new vertices
+(see :class:`~repro.index.signature_index.SignatureIndex`).
 
 Thread safety: the mutator (like the engine) performs no locking of its
 own.  Concurrent readers must be excluded while a mutation is applied —
@@ -24,9 +26,10 @@ the query service wraps updates in the write side of a reader-writer lock
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 from urllib.parse import unquote, urlsplit
 
 from ..errors import ReproError
@@ -41,6 +44,7 @@ __all__ = [
     "UpdateError",
     "UpdateResult",
     "GraphMutator",
+    "apply_operations",
     "resolve_load_path",
     "resolve_loads",
     "load_triples",
@@ -147,6 +151,29 @@ class GraphMutator:
     def __init__(self, data: DataMultigraph, indexes: IndexSet):
         self.data = data
         self.indexes = indexes
+        #: Inside :meth:`batch`: the ``(vertex, attribute)`` pairs, edges and
+        #: new vertices the graph has changed and the indexes not yet.
+        self._pending: tuple[list, list, list] | None = None
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Repair the indexes once, when the outermost ``batch`` block ends.
+
+        Every mutation inside the block changes the graph at once and only
+        queues its index repair, so a request (or a cluster's per-triple
+        routing) pays one copy-on-write patch per changed array, however
+        many triples it touches.  The repair runs even when the block
+        raises, so the indexes never fall behind the graph.
+        """
+        if self._pending is not None:
+            yield
+            return
+        self._pending = ([], [], [])
+        try:
+            yield
+        finally:
+            pending, self._pending = self._pending, None
+            self.indexes.apply(self.data.graph, *pending)
 
     # ------------------------------------------------------------------ #
     # triple-level primitives
@@ -167,34 +194,45 @@ class GraphMutator:
         """Delete many triples; returns how many were present."""
         return self._apply_batch(triples, insert=False)
 
-    def _apply_batch(self, triples: Iterable[Triple], insert: bool) -> int:
-        """Apply one batch of inserts or deletes, then repair the indexes.
+    def set_attributes(self, vertex: int, attributes: Iterable[int], present: bool) -> int:
+        """Add (``present``) or drop ``attributes`` on ``vertex``; returns how many changed.
 
-        Deltas are collected and the indexes repaired once at the end of
-        the batch: the attribute pairs patch ``A`` in one copy-on-write
-        step, and :meth:`IndexSet.apply_edge_changes` patches the two
-        arrays of ``N`` per changed edge type and recomputes each touched
-        vertex's synopsis once, however many triples of the batch touch it
-        — a bulk LOAD around a hub vertex stays linear in its size.
+        Edits the vertex's labels without a triple (a cluster replicating
+        a halo vertex's attributes) and counts each change in
+        ``triple_count``.
         """
-        attributes: list[tuple[int, int]] = []
-        edges: list[tuple[int, int, int]] = []
-        new_vertices: list[int] = []
+        graph = self.data.graph
+        current = graph.attributes(vertex)
+        changed = sorted(set(attributes) - current if present else set(attributes) & current)
+        with self.batch():
+            for attribute in changed:
+                (graph.add_attribute if present else graph.remove_attribute)(vertex, attribute)
+                self._pending[0].append((vertex, attribute))
+        self.data.triple_count += len(changed) if present else -len(changed)
+        return len(changed)
+
+    def _apply_batch(self, triples: Iterable[Triple], insert: bool) -> int:
+        """Apply one batch of inserts or deletes, queueing the index repair.
+
+        The repair (:meth:`batch`) patches each changed array once and
+        recomputes each touched vertex's synopsis once, however many
+        triples touch it — a bulk LOAD around a hub vertex stays linear in
+        its size.
+        """
         count = 0
-        for triple in triples:
-            delta = self.data.insert_triple(triple) if insert else self.data.remove_triple(triple)
-            if delta is None:
-                continue
-            count += 1
-            new_vertices.extend(delta.new_vertices)
-            if delta.attribute is not None:
-                attributes.append((delta.source, delta.attribute))
-            else:
-                edges.append((delta.source, delta.target, delta.edge_type))
-        if attributes:
-            self.indexes.attributes.apply(self.data.graph, attributes)
-        if edges or new_vertices:
-            self.indexes.apply_edge_changes(self.data.graph, edges, new_vertices)
+        change = self.data.insert_triple if insert else self.data.remove_triple
+        with self.batch():
+            attributes, edges, new_vertices = self._pending
+            for triple in triples:
+                delta = change(triple)
+                if delta is None:
+                    continue
+                count += 1
+                new_vertices.extend(delta.new_vertices)
+                if delta.is_edge:
+                    edges.append((delta.source, delta.target, delta.edge_type))
+                else:
+                    attributes.append((delta.source, delta.attribute))
         return count
 
     # ------------------------------------------------------------------ #
@@ -209,14 +247,24 @@ class GraphMutator:
         untouched, instead of leaving the operations preceding the failure
         half-applied.
         """
-        operations = resolve_loads(request, base_dir)
-        result = UpdateResult()
+        return apply_operations(self, resolve_loads(request, base_dir))
+
+
+def apply_operations(mutator, operations) -> UpdateResult:
+    """Apply resolved ``INSERT DATA`` / ``DELETE DATA`` operations in order.
+
+    ``mutator`` is a :class:`GraphMutator` or a cluster's mutator: the
+    whole request runs in one ``mutator.batch()``, so its index repair
+    happens once.
+    """
+    result = UpdateResult()
+    with mutator.batch():
         for operation in operations:
             if isinstance(operation, InsertData):
-                result.inserted += self.insert_triples(operation.triples)
+                result.inserted += mutator.insert_triples(operation.triples)
             elif isinstance(operation, DeleteData):
-                result.deleted += self.delete_triples(operation.triples)
+                result.deleted += mutator.delete_triples(operation.triples)
             else:  # pragma: no cover - resolve_loads only leaves the two forms
                 raise UpdateError(f"unsupported update operation {operation!r}")
             result.operations += 1
-        return result
+    return result

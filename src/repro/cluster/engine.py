@@ -41,18 +41,16 @@ import time
 import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..amber.engine import AmberEngine, BuildReport, PlanCache, QueryEngineBase
 from ..amber.matching import MatcherConfig
-from ..amber.mutation import UpdateResult
 from ..index.manager import IndexSet
 from ..multigraph.builder import DataMultigraph
 from ..multigraph.query_graph import QueryMultigraph
-from ..rdf.terms import IRI, BlankNode, Triple
+from ..rdf.terms import IRI, BlankNode
 from ..sparql.bindings import Binding
 from ..sparql.planner import QueryPlanner
-from ..sparql.update import UpdateRequest, parse_update
 from ..telemetry.record import ShardRecord, current_record, span, start_record, timed_iter
 from ..timing import Deadline
 from .mutation import ClusterMutator
@@ -182,7 +180,7 @@ class ShardedEngine(QueryEngineBase):
         # creation must not race: a lost check-then-set would leak a whole
         # executor (and its worker processes) with nobody to shut it down.
         self._pool_lock = threading.Lock()
-        self._mutator = ClusterMutator(self)
+        self.mutator = ClusterMutator(self)
 
     # ------------------------------------------------------------------ #
     # matching backend (delegated to the shard engines)
@@ -275,31 +273,10 @@ class ShardedEngine(QueryEngineBase):
         return len(self.shards)
 
     # ------------------------------------------------------------------ #
-    # dynamic updates (AmberEngine API parity)
+    # dynamic updates (the shared API routes through ClusterMutator)
     # ------------------------------------------------------------------ #
-    def apply_update(
-        self, update: str | UpdateRequest, base_dir: str | None = None
-    ) -> UpdateResult:
-        """Apply a SPARQL UPDATE, routing triples to their owning shards."""
-        request = parse_update(update) if isinstance(update, str) else update
-        result = self._mutator.apply(request, base_dir=base_dir)
-        self._finish_mutation(result.changed)
-        return result
-
-    def insert_triples(self, triples: Iterable[Triple]) -> int:
-        """Insert triples (set semantics); returns how many were new."""
-        count = self._mutator.insert_triples(triples)
-        self._finish_mutation(count > 0)
-        return count
-
-    def delete_triples(self, triples: Iterable[Triple]) -> int:
-        """Delete triples; returns how many were present."""
-        count = self._mutator.delete_triples(triples)
-        self._finish_mutation(count > 0)
-        return count
-
-    def _finish_mutation(self, changed: bool) -> None:
-        self._commit(changed)
+    def _commit(self, changed: bool) -> None:
+        super()._commit(changed)
         if changed and self.executor == "process":
             # Worker processes hold pre-mutation shard copies; the pool is
             # rebuilt from current state on the next query.

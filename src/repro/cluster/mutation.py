@@ -10,6 +10,11 @@ of every shard that materialises it:
   owning its subject *and* in every shard where the subject is currently a
   halo vertex, because halos replicate full attribute sets.
 
+Each shard's index repair is held until the request (or the
+``insert_triples`` / ``delete_triples`` call) ends, through every shard's
+:meth:`~repro.amber.mutation.GraphMutator.batch`, so routing triple by
+triple still patches each changed index array of a shard once.
+
 Halo consistency is maintained eagerly: an edge insert that drags a new
 halo vertex into a shard copies that vertex's attributes along; an edge
 delete that disconnects a halo vertex from all owned vertices of a shard
@@ -23,13 +28,14 @@ shard owning its subject — so insert/delete counts and the cluster-wide
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..amber.mutation import UpdateError, UpdateResult, resolve_loads
+from ..amber.mutation import UpdateResult, apply_operations, resolve_loads
 from ..multigraph.builder import DataMultigraph
 from ..rdf.terms import Triple
-from ..sparql.update import DeleteData, InsertData, UpdateRequest
+from ..sparql.update import UpdateRequest
 from .partition import default_owner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -54,24 +60,25 @@ class ClusterMutator:
         :func:`repro.amber.mutation.resolve_loads`), so a failing LOAD
         leaves every shard untouched.
         """
-        result = UpdateResult()
-        for operation in resolve_loads(request, base_dir):
-            if isinstance(operation, InsertData):
-                result.inserted += self.insert_triples(operation.triples)
-            elif isinstance(operation, DeleteData):
-                result.deleted += self.delete_triples(operation.triples)
-            else:  # pragma: no cover - resolve_loads only leaves the two forms
-                raise UpdateError(f"unsupported update operation {operation!r}")
-            result.operations += 1
-        return result
+        return apply_operations(self, resolve_loads(request, base_dir))
 
     def insert_triples(self, triples: Iterable[Triple]) -> int:
         """Insert many triples (set semantics); returns how many were new."""
-        return sum(1 for triple in triples if self._insert(triple))
+        with self.batch():
+            return sum(1 for triple in triples if self._insert(triple))
 
     def delete_triples(self, triples: Iterable[Triple]) -> int:
         """Delete many triples; returns how many were present."""
-        return sum(1 for triple in triples if self._delete(triple))
+        with self.batch():
+            return sum(1 for triple in triples if self._delete(triple))
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold every shard's index repair until the block ends."""
+        with ExitStack() as stack:
+            for shard in self.engine.shards:
+                stack.enter_context(shard.mutator.batch())
+            yield
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -102,45 +109,38 @@ class ClusterMutator:
     def _replicate_attributes(self, vertex: int, shard: int) -> None:
         """Copy ``vertex``'s attribute set from its owner into ``shard``."""
         home = self.engine.owner[vertex]
-        if home == shard:
-            return
-        source = self.engine.shards[home].data.graph
-        target = self.engine.shards[shard]
-        added = sorted(source.attributes(vertex) - target.data.graph.attributes(vertex))
-        for attribute in added:
-            target.data.graph.add_attribute(vertex, attribute)
-        target.indexes.attributes.apply(target.data.graph, [(vertex, a) for a in added])
-        target.data.triple_count += len(added)
+        if home != shard:
+            attributes = self.engine.shards[home].data.graph.attributes(vertex)
+            self.engine.shards[shard].mutator.set_attributes(vertex, attributes, present=True)
 
     def _strip_halo(self, vertex: int, shard: int) -> None:
         """Drop the replicated attributes of a halo vertex that lost its last edge."""
         target = self.engine.shards[shard]
-        removed = sorted(target.data.graph.attributes(vertex))
-        for attribute in removed:
-            target.data.graph.remove_attribute(vertex, attribute)
-        target.indexes.attributes.apply(target.data.graph, [(vertex, a) for a in removed])
-        target.data.triple_count -= len(removed)
+        target.mutator.set_attributes(vertex, target.data.graph.attributes(vertex), present=False)
 
     # ------------------------------------------------------------------ #
     # triple-level primitives
     # ------------------------------------------------------------------ #
+    def _route_attribute(self, triple: Triple, key, insert: bool) -> bool:
+        """Apply an attribute triple at its subject's owner and every halo copy."""
+        home = self._owner_of(triple.subject, create=insert)
+        if home is None:
+            return False
+        owner = self.engine.shards[home]
+        if (owner.insert_triples if insert else owner.delete_triples)((triple,)) != 1:
+            return False
+        vertex = self._dictionaries.vertices.get(triple.subject)
+        attribute = self._dictionaries.attributes.get(key)
+        for shard in sorted(self._halo_shards(vertex)):
+            self.engine.shards[shard].mutator.set_attributes(vertex, (attribute,), present=insert)
+        self.engine.data.triple_count += 1 if insert else -1
+        return True
+
     def _insert(self, triple: Triple) -> bool:
         engine = self.engine
         key = self._attribute_key(triple)
         if key is not None:
-            home = self._owner_of(triple.subject, create=True)
-            if engine.shards[home].insert_triples((triple,)) != 1:
-                return False
-            vertex = self._dictionaries.vertices.get(triple.subject)
-            attribute = self._dictionaries.attributes.get(key)
-            for shard in sorted(self._halo_shards(vertex)):
-                data = engine.shards[shard].data
-                if attribute not in data.graph.attributes(vertex):
-                    data.graph.add_attribute(vertex, attribute)
-                    engine.shards[shard].indexes.attributes.apply(data.graph, [(vertex, attribute)])
-                    data.triple_count += 1
-            engine.data.triple_count += 1
-            return True
+            return self._route_attribute(triple, key, insert=True)
 
         subject_home = self._owner_of(triple.subject, create=True)
         object_home = self._owner_of(triple.object, create=True)
@@ -172,21 +172,7 @@ class ClusterMutator:
         engine = self.engine
         key = self._attribute_key(triple)
         if key is not None:
-            home = self._owner_of(triple.subject, create=False)
-            if home is None:
-                return False
-            if engine.shards[home].delete_triples((triple,)) != 1:
-                return False
-            vertex = self._dictionaries.vertices.get(triple.subject)
-            attribute = self._dictionaries.attributes.get(key)
-            for shard in sorted(self._halo_shards(vertex)):
-                data = engine.shards[shard].data
-                if attribute is not None and attribute in data.graph.attributes(vertex):
-                    data.graph.remove_attribute(vertex, attribute)
-                    engine.shards[shard].indexes.attributes.apply(data.graph, [(vertex, attribute)])
-                    data.triple_count -= 1
-            engine.data.triple_count -= 1
-            return True
+            return self._route_attribute(triple, key, insert=False)
 
         subject_home = self._owner_of(triple.subject, create=False)
         object_home = self._owner_of(triple.object, create=False)

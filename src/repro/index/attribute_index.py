@@ -70,10 +70,6 @@ class AttributeIndex:
         """Return the inverted list of ``attribute``: a sorted, zero-copy int64 view."""
         return row_view(*self._arrays, attribute)
 
-    def vertices_with(self, attribute: int) -> frozenset[int]:
-        """Return the vertices carrying ``attribute`` (empty when unknown)."""
-        return frozenset(self.posting_array(attribute).tolist())
-
     def candidate_array(self, attributes: set[int] | frozenset[int]):
         """Data vertices carrying *all* ``attributes``, as a sorted int64 array.
 

@@ -92,24 +92,27 @@ class IndexSet:
     # ------------------------------------------------------------------ #
     # incremental maintenance (dynamic updates)
     # ------------------------------------------------------------------ #
-    def apply_edge_changes(self, graph, edges, new_vertices) -> None:
-        """Bring the edge-dependent indexes in line with ``graph`` after a batch.
+    def apply(self, graph, attributes, edges, new_vertices) -> None:
+        """Bring every index in line with ``graph`` after a batch of changes.
 
-        Called once per batch by :class:`repro.amber.mutation.GraphMutator`
-        with the ``(source, target, edge type)`` triples it inserted or
-        deleted and the vertices it created.  Each changed edge type patches
-        its two arrays of ``N`` and the synopsis of every touched vertex is
-        recomputed once, so ``S`` and ``N`` stay exact without an offline
-        rebuild.  The attribute index is patched separately, by
-        :meth:`AttributeIndex.apply`.
+        Called when the outermost
+        :meth:`repro.amber.mutation.GraphMutator.batch` block ends, with the
+        ``(vertex, attribute)`` pairs and ``(source, target, edge type)``
+        triples whose presence may have changed and the vertices the batch
+        created; ``graph`` holds their final state.  ``A`` is patched once,
+        each changed edge type patches its two arrays of ``N``, and the
+        synopsis of every touched vertex is recomputed once, so the indexes
+        stay exact without an offline rebuild.
         """
+        if attributes:
+            self.attributes.apply(graph, attributes)
         touched = set(new_vertices)
         for source, target, _ in edges:
             touched.update((source, target))
         for vertex in touched:
             self.signatures.refresh(graph, vertex)
-        self.neighborhoods.apply(graph, edges)
-
+        if edges:
+            self.neighborhoods.apply(graph, edges)
 
 def build_indexes(data: DataMultigraph) -> IndexSet:
     """Convenience wrapper mirroring the paper's notation ``I := {A, S, N}``."""

@@ -41,6 +41,11 @@ class TripleDelta:
     attribute: int | None = None
     new_vertices: tuple[int, ...] = ()
 
+    @property
+    def is_edge(self) -> bool:
+        """True for a resource-triple (edge) delta."""
+        return self.edge_type is not None
+
 
 @dataclass
 class DataMultigraph:

@@ -21,7 +21,7 @@ so the attribute sets stored here only contain the real attribute ids.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = ["Multigraph"]
 
@@ -203,3 +203,19 @@ class Multigraph:
             "edge_types": len(self.distinct_edge_types()),
             "attributed_vertices": sum(1 for attrs in self._attributes.values() if attrs),
         }
+
+    def subgraph(self, vertices: Iterable[int]) -> "Multigraph":
+        """Return the induced sub-multigraph on ``vertices`` (attributes included)."""
+        keep = set(vertices)
+        sub = Multigraph()
+        for vertex in keep:
+            if vertex in self:
+                sub.add_vertex(vertex)
+                for attribute in self._attributes.get(vertex, ()):
+                    sub.add_attribute(vertex, attribute)
+        for source in keep:
+            for target, types in self._out.get(source, {}).items():
+                if target in keep:
+                    for edge_type in types:
+                        sub.add_edge(source, target, edge_type)
+        return sub

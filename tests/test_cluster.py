@@ -12,9 +12,12 @@ from collections import Counter
 
 import pytest
 
+from index_exactness import assert_indexes_exact
+
 from repro import AmberEngine, IRI, Literal, Triple, UpdateError
 from repro.cluster import ShardedEngine, assign_owners, partition_data, plan_stars
 from repro.datasets import LubmGenerator, WorkloadGenerator
+from repro.index.attribute_index import AttributeIndex
 from repro.index.synopsis import signature_of
 from repro.server import EngineService, ServiceConfig
 from repro.server.cli import build_arg_parser, build_service
@@ -305,6 +308,26 @@ class TestMutationParity:
         update = f"LOAD <file://{extra}>"
         assert single.apply_update(update).inserted == sharded.apply_update(update).inserted == 2
         query = f"SELECT ?x WHERE {{ ?x <{E}p> <{E}b> . ?x <{E}name> \"Anna\" . }}"
+        assert multiset(single, query) == multiset(sharded, query)
+
+    def test_a_bulk_insert_patches_each_shard_attribute_index_once(self, monkeypatch):
+        """Routing is per triple, but each shard's A is copied once per call."""
+        base = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}p"), IRI(f"{E}v{i + 1}")) for i in range(20)]
+        single = AmberEngine.from_triples(base)
+        sharded = ShardedEngine.build(AmberEngine.from_triples(base).data, 2, executor="serial")
+        bulk = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}name"), Literal(f"n{i % 4}")) for i in range(21)]
+        bulk += [Triple(IRI(f"{E}v{i}"), IRI(f"{E}q"), IRI(f"{E}w{i}")) for i in range(0, 21, 3)]
+        assert single.insert_triples(bulk) == len(bulk)
+        calls = []
+        apply = AttributeIndex.apply
+        monkeypatch.setattr(
+            AttributeIndex, "apply", lambda self, *args: calls.append(self) or apply(self, *args)
+        )
+        assert sharded.insert_triples(bulk) == len(bulk)
+        assert len(calls) == len(set(map(id, calls))) <= sharded.shard_count
+        for shard in sharded.shards:
+            assert_indexes_exact(shard)
+        query = f'SELECT ?x ?y WHERE {{ ?x <{E}p> ?y . ?y <{E}name> "n1" . ?x <{E}q> ?z . }}'
         assert multiset(single, query) == multiset(sharded, query)
 
     def test_failing_load_leaves_all_shards_untouched(self, paper_turtle, tmp_path):

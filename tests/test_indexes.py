@@ -66,7 +66,7 @@ class TestAttributeIndex:
         graph.add_attribute(4, 0)
         index = AttributeIndex()
         index.apply(graph, [(3, 0), (4, 0)])
-        assert index.vertices_with(0) == {3, 4}
+        assert index.posting_array(0).tolist() == [3, 4]
         assert index.attribute_count() == 1
         assert index.memory_items() == 2
 

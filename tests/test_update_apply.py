@@ -4,6 +4,7 @@ import pytest
 
 from index_exactness import assert_indexes_exact
 from repro import AmberEngine, IRI, Literal, Triple, UpdateError
+from repro.index.attribute_index import AttributeIndex
 from repro.index.columnar import ColumnarEdges
 
 X = "http://dbpedia.org/resource/"
@@ -286,4 +287,26 @@ class TestMaintenanceCost:
         assert set(engine.indexes.neighborhoods._arrays) == set(before)
         others = [key for key in before if key[0] != kind1]
         assert self._untouched(engine, before, kind1) == others
+        assert_indexes_exact(engine)
+
+    def test_a_request_repairs_each_index_once(self, hub_engine, monkeypatch):
+        """Every operation of a request queues its repair; A and N are patched once."""
+        engine = hub_engine
+        calls = {AttributeIndex: 0, ColumnarEdges: 0}
+        for cls in calls:
+            apply = cls.apply
+
+            def counting_apply(self, *args, _apply=apply, _cls=cls):
+                calls[_cls] += 1
+                return _apply(self, *args)
+
+            monkeypatch.setattr(cls, "apply", counting_apply)
+        result = engine.apply_update(
+            f'INSERT DATA {{ <{E}a> <{E}name> "A" . <{E}a> <{E}link> <{E}n1> . '
+            f'<{E}b> <{E}name> "B" . <{E}b> <{E}kind2> <{E}hub> }} ; '
+            f'DELETE DATA {{ <{E}b> <{E}name> "B" . <{E}hub> <{E}link> <{E}n9> }} ; '
+            f'INSERT DATA {{ <{E}c> <{E}name> "C" }}'
+        )
+        assert (result.inserted, result.deleted, result.operations) == (5, 2, 3)
+        assert calls == {AttributeIndex: 1, ColumnarEdges: 1}
         assert_indexes_exact(engine)
