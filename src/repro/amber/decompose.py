@@ -133,11 +133,7 @@ def order_core_vertices(
     ordered.append(current)
     remaining.discard(current)
     while remaining:
-        frontier = {
-            u
-            for u in remaining
-            if any(v in qgraph.graph.neighbors(u) for v in ordered)
-        }
+        frontier = {u for u in remaining if not qgraph.graph.neighbors(u).isdisjoint(ordered)}
         # The core-spanned structure of a connected query is connected, but a
         # defensive fallback keeps progress for degenerate inputs.
         pool = frontier if frontier else remaining

@@ -174,7 +174,6 @@ def shard_scaling_experiment(
     shard_counts: Sequence[int] = (1, 2, 4),
     query_size: int = 50,
     query_count: int | None = None,
-    executor: str = "thread",
 ) -> dict[str, WorkloadResult]:
     """Scatter–gather scaling on the Table 1 workload (complex-50, DBPEDIA).
 
@@ -195,14 +194,10 @@ def shard_scaling_experiment(
     baseline = AmberEngine.from_store(store)
     engines: list = [baseline]
     for shards in shard_counts:
-        engine = ShardedEngine.build(baseline.data, shards, executor=executor)
+        engine = ShardedEngine.build(baseline.data, shards)
         engine.name = f"AMbER-cluster/{shards}"
         engines.append(engine)
-    try:
-        return run_workload(engines, queries, scale.timeout_seconds)
-    finally:
-        for engine in engines[1:]:
-            engine.close()
+    return run_workload(engines, queries, scale.timeout_seconds)
 
 
 # --------------------------------------------------------------------------- #

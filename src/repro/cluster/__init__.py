@@ -1,12 +1,12 @@
-"""Sharded multigraph partitioning and parallel scatter–gather querying.
+"""Sharded multigraph partitioning and scatter–gather querying.
 
-The cluster subsystem scales the matching layer horizontally:
+The cluster subsystem partitions the matching layer across shards:
 
 * :func:`partition_data` splits a :class:`~repro.multigraph.builder.DataMultigraph`
   into N shards with degree-aware hash ownership and 1-hop halo replication;
 * :class:`ShardedEngine` exposes the single-engine query/count/prepare API,
-  scattering star subqueries across a worker pool and hash-joining the
-  partial embeddings on shared query vertices;
+  scattering star subqueries over the shards on the request's thread and
+  hash-joining the partial embeddings on shared query vertices;
 * :class:`~repro.cluster.mutation.ClusterMutator` routes SPARQL UPDATE
   triples to their owning shards, keeping halo replicas consistent.
 

@@ -1,4 +1,4 @@
-"""The sharded engine: parallel scatter–gather SPARQL answering.
+"""The sharded engine: scatter–gather SPARQL answering over N shards.
 
 :class:`ShardedEngine` exposes the :class:`~repro.amber.engine.AmberEngine`
 query/count/prepare API over N shards produced by
@@ -7,11 +7,11 @@ query/count/prepare API over N shards produced by
 1. **plan** — the query multigraph is built once against the shared
    dictionaries (through :class:`ClusterCatalog`) and each connected
    component is covered by star subqueries (:func:`~.scatter.plan_stars`);
-2. **scatter** — every (star, shard) pair is matched on a worker pool
-   (threads by default, processes optional), each shard anchoring star
-   roots to the data vertices it *owns*: ownership is a partition, so the
-   union of per-shard results is exactly the global star relation with no
-   duplicates from halo replication;
+2. **scatter** — every (star, shard) pair is matched in turn on the
+   request's thread, each shard anchoring star roots to the data vertices
+   it *owns*: ownership is a partition, so the union of per-shard results
+   is exactly the global star relation with no duplicates from halo
+   replication;
 3. **gather** — the star relations are hash-joined on their shared query
    vertices (smallest-first, connectivity-aware order) and private
    satellite sets stay factored until the final embedding expansion.
@@ -22,24 +22,21 @@ block of the compiled pattern through steps 1–3 above (one scatter–gather
 round per block, all under one deadline) and combines the block solution
 multisets with the engine-independent operators of
 :mod:`repro.sparql.eval` at the gather side — so the cluster serves the
-full fragment with the same per-star parallelism as a conjunctive query.
+full fragment with the same per-star scatter as a conjunctive query.
 
 The result multiset is identical to a single ``AmberEngine`` on the same
 data — the property and differential tests assert this over arbitrary
 update interleavings.
 
-Thread safety matches the single engine: queries may run concurrently, but
-mutations require the caller to exclude readers (the query service wraps
-both in its reader-writer lock).
+Thread safety matches the single engine: queries may run concurrently (each
+on its caller's thread), but mutations require the caller to exclude
+readers (the query service wraps both in its reader-writer lock).
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -51,7 +48,7 @@ from ..multigraph.query_graph import QueryMultigraph
 from ..rdf.terms import IRI, BlankNode
 from ..sparql.bindings import Binding
 from ..sparql.planner import QueryPlanner
-from ..telemetry.record import ShardRecord, current_record, span, start_record, timed_iter
+from ..telemetry.record import current_record, span, start_record, timed_iter
 from ..timing import Deadline
 from .mutation import ClusterMutator
 from .partition import ShardedData, partition_data
@@ -65,9 +62,6 @@ from .scatter import (
 )
 
 __all__ = ["ClusterCatalog", "ShardedEngine"]
-
-#: Worker-pool kinds accepted by :class:`ShardedEngine`.
-_EXECUTORS = ("thread", "process", "serial")
 
 #: Sentinel marking a shard that owns no member of a root-pinning frontier:
 #: it cannot anchor any match of the star, so its scatter is skipped.
@@ -151,13 +145,9 @@ class ShardedEngine(QueryEngineBase):
         config: MatcherConfig | None = None,
         plan_cache: PlanCache | None = None,
         build_report: BuildReport | None = None,
-        workers: int | None = None,
-        executor: str = "thread",
     ):
         if not shards:
             raise ValueError("a sharded engine needs at least one shard")
-        if executor not in _EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r} (expected one of {_EXECUTORS})")
         self.shards = list(shards)
         self.owner = owner
         self.data = ClusterCatalog([engine.data for engine in self.shards], owner, triple_count)
@@ -172,14 +162,6 @@ class ShardedEngine(QueryEngineBase):
         self._scatter_plans: "weakref.WeakKeyDictionary[QueryMultigraph, dict]" = (
             weakref.WeakKeyDictionary()
         )
-        self.executor = executor
-        default_workers = min(len(self.shards), os.cpu_count() or 1)
-        self.workers = workers if workers is not None else default_workers
-        self._pool: Executor | None = None
-        # Queries run concurrently under the service's read lock, so pool
-        # creation must not race: a lost check-then-set would leak a whole
-        # executor (and its worker processes) with nobody to shut it down.
-        self._pool_lock = threading.Lock()
         self.mutator = ClusterMutator(self)
 
     # ------------------------------------------------------------------ #
@@ -194,9 +176,6 @@ class ShardedEngine(QueryEngineBase):
     def match_backend(self, value) -> None:
         for engine in self.shards:
             engine.match_backend = value
-        if self.executor == "process":
-            # Worker processes built engines with the old backend choice.
-            self._shutdown_pool()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -207,8 +186,6 @@ class ShardedEngine(QueryEngineBase):
         data: DataMultigraph,
         shard_count: int,
         config: MatcherConfig | None = None,
-        workers: int | None = None,
-        executor: str = "thread",
         hub_threshold: int | None = None,
         backend=None,
     ) -> "ShardedEngine":
@@ -243,15 +220,7 @@ class ShardedEngine(QueryEngineBase):
                 for engine in engines
             ),
         )
-        return cls(
-            engines,
-            sharded.owner,
-            sharded.triple_count,
-            config=config,
-            build_report=report,
-            workers=workers,
-            executor=executor,
-        )
+        return cls(engines, sharded.owner, sharded.triple_count, config=config, build_report=report)
 
     @classmethod
     def from_sharded_data(
@@ -259,28 +228,17 @@ class ShardedEngine(QueryEngineBase):
         sharded: ShardedData,
         config: MatcherConfig | None = None,
         backend=None,
-        **kwargs,
     ) -> "ShardedEngine":
         """Build shard engines over already-partitioned data."""
         engines = [
             AmberEngine(shard, IndexSet.build(shard), config=config, backend=backend)
             for shard in sharded.shards
         ]
-        return cls(engines, sharded.owner, sharded.triple_count, config=config, **kwargs)
+        return cls(engines, sharded.owner, sharded.triple_count, config=config)
 
     @property
     def shard_count(self) -> int:
         return len(self.shards)
-
-    # ------------------------------------------------------------------ #
-    # dynamic updates (the shared API routes through ClusterMutator)
-    # ------------------------------------------------------------------ #
-    def _commit(self, changed: bool) -> None:
-        super()._commit(changed)
-        if changed and self.executor == "process":
-            # Worker processes hold pre-mutation shard copies; the pool is
-            # rebuilt from current state on the next query.
-            self._shutdown_pool()
 
     # ------------------------------------------------------------------ #
     # scatter–gather matching
@@ -295,8 +253,8 @@ class ShardedEngine(QueryEngineBase):
     ) -> Iterator[Binding]:
         """One component: scatter stars in estimated-cost order, join, expand.
 
-        Stars run as waves — every shard matches the current star in
-        parallel — ordered cheapest-estimated-first under a connectivity
+        Stars run as waves — every shard matches the current star before
+        the next one starts — ordered cheapest-estimated-first under a connectivity
         constraint (:func:`~.scatter.plan_scatter`).  The values each query
         vertex can still take (its semi-join *frontier*) are pushed into
         the next wave's scatter when the planner expects it to restrict,
@@ -399,51 +357,22 @@ class ShardedEngine(QueryEngineBase):
         ``restrict`` is the semi-join frontier when the scatter plan decided
         to push it down, None otherwise.
 
-        Every shard matches under its own query record — worker threads and
-        processes do not inherit the request's — and ships back its matches
-        with a :class:`~repro.telemetry.ShardRecord` (seconds and counters,
-        plain data that pickles across process pools).  The request record,
-        when there is one, absorbs each shard here, on the request thread.
+        The shards match one after another on the request's thread, each
+        under its own nested query record, and return their matches with a
+        :class:`~repro.telemetry.ShardRecord` (the shard's seconds and
+        counters).  The request record, when there is one, absorbs each.
         """
-        restrict = restrict or None
-        restricts = self._shard_restricts(star, restrict)
-        active = [
-            (shard, where) for shard, where in enumerate(restricts) if where is not _SKIP_SHARD
-        ]
-        if self.executor == "serial" or self.workers <= 1 or self.shard_count == 1:
-            outcomes = (
-                _match_shard(self.shards[shard], qgraph, star, self.owner, shard, deadline, where)
-                for shard, where in active
-            )
-        else:
-            pool = self._ensure_pool()
-            if self.executor == "process":
-                futures = [
-                    pool.submit(
-                        _match_star_in_worker, shard, qgraph, star, deadline.remaining(), where
-                    )
-                    for shard, where in active
-                ]
-            else:
-                futures = [
-                    pool.submit(
-                        _match_shard,
-                        self.shards[shard],
-                        qgraph,
-                        star,
-                        self.owner,
-                        shard,
-                        deadline,
-                        where,
-                    )
-                    for shard, where in active
-                ]
-            outcomes = (future.result() for future in futures)
         record = current_record()
         relation: list[StarMatch] = []
-        for matches, shard_record in outcomes:
+        for shard, where in enumerate(self._shard_restricts(star, restrict or None)):
+            if where is _SKIP_SHARD:
+                continue
+            with start_record() as shard_record:
+                matches = match_star(
+                    self.shards[shard], qgraph, star, self.owner, shard, deadline, where
+                )
             if record is not None:
-                record.absorb(shard_record, matches=len(matches))
+                record.absorb(shard_record.as_shard(shard), matches=len(matches))
             relation.extend(matches)
         return relation
 
@@ -485,37 +414,10 @@ class ShardedEngine(QueryEngineBase):
         return sum(estimates)
 
     # ------------------------------------------------------------------ #
-    # worker pool plumbing
+    # close / context manager: nothing to release
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> Executor:
-        with self._pool_lock:
-            if self._pool is None:
-                if self.executor == "process":
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            [engine.data for engine in self.shards],
-                            self.owner,
-                            self.config,
-                            self.match_backend,
-                        ),
-                    )
-                else:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers, thread_name_prefix="amber-shard"
-                    )
-            return self._pool
-
-    def _shutdown_pool(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
     def close(self) -> None:
-        """Release the worker pool (idempotent)."""
-        self._shutdown_pool()
+        """Do nothing: the engine holds no threads, processes or files."""
 
     def __enter__(self) -> "ShardedEngine":
         return self
@@ -583,7 +485,7 @@ class ShardedEngine(QueryEngineBase):
         stats = self.statistics()
         return (
             f"ShardedEngine(shards={self.shard_count}, vertices={stats['vertices']}, "
-            f"edges={stats['edges']}, executor={self.executor!r}, workers={self.workers})"
+            f"edges={stats['edges']})"
         )
 
 
@@ -679,74 +581,3 @@ def _expand_embeddings(states: list[_JoinState], deadline: Deadline) -> Iterator
             full = dict(assigned)
             full.update(zip(satellites, combo))
             yield full
-
-
-# --------------------------------------------------------------------------- #
-# process-pool workers
-# --------------------------------------------------------------------------- #
-#: Per-process worker state: shard data, ownership and lazily built engines.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(
-    shards: list[DataMultigraph],
-    owner: dict[int, int],
-    config: MatcherConfig,
-    backend: str | None = None,
-):
-    """Process-pool initializer: receive the shard payload once per worker."""
-    _WORKER_STATE["shards"] = shards
-    _WORKER_STATE["owner"] = owner
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["backend"] = backend
-    _WORKER_STATE["engines"] = {}
-
-
-def _worker_engine(shard: int) -> AmberEngine:
-    """Build (once per worker) the indexed engine of ``shard``."""
-    engines = _WORKER_STATE["engines"]
-    engine = engines.get(shard)
-    if engine is None:
-        data = _WORKER_STATE["shards"][shard]
-        engine = AmberEngine(
-            data,
-            IndexSet.build(data),
-            config=_WORKER_STATE["config"],
-            backend=_WORKER_STATE.get("backend"),
-        )
-        engines[shard] = engine
-    return engine
-
-
-def _match_shard(
-    engine: AmberEngine,
-    qgraph: QueryMultigraph,
-    star: StarQuery,
-    owner: dict[int, int],
-    shard: int,
-    deadline: Deadline,
-    restrict: dict[int, frozenset[int]] | None,
-) -> tuple[list[StarMatch], ShardRecord]:
-    """Match one star on one shard under the shard's own query record."""
-    with start_record() as record:
-        matches = match_star(engine, qgraph, star, owner, shard, deadline, restrict)
-    return matches, record.as_shard(shard)
-
-
-def _match_star_in_worker(
-    shard: int,
-    qgraph: QueryMultigraph,
-    star: StarQuery,
-    remaining_seconds: float | None,
-    restrict: dict[int, frozenset[int]] | None,
-) -> tuple[list[StarMatch], ShardRecord]:
-    """Match one star on one shard inside a worker process."""
-    return _match_shard(
-        _worker_engine(shard),
-        qgraph,
-        star,
-        _WORKER_STATE["owner"],
-        shard,
-        Deadline(remaining_seconds),
-        restrict,
-    )

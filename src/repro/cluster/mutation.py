@@ -13,7 +13,9 @@ of every shard that materialises it:
 Each shard's index repair is held until the request (or the
 ``insert_triples`` / ``delete_triples`` call) ends, through every shard's
 :meth:`~repro.amber.mutation.GraphMutator.batch`, so routing triple by
-triple still patches each changed index array of a shard once.
+triple still patches each changed index array of a shard once.  Each
+changed shard is committed once at that point too: its ``data_version``
+goes up by one per request, not per routed triple.
 
 Halo consistency is maintained eagerly: an edge insert that drags a new
 halo vertex into a shard copies that vertex's attributes along; an edge
@@ -49,6 +51,8 @@ class ClusterMutator:
 
     def __init__(self, engine: "ShardedEngine"):
         self.engine = engine
+        #: Inside :meth:`batch`: the indexes of the shards changed so far.
+        self._changed: set[int] | None = None
 
     # ------------------------------------------------------------------ #
     # update requests (mirrors GraphMutator.apply)
@@ -74,11 +78,25 @@ class ClusterMutator:
 
     @contextmanager
     def batch(self) -> Iterator[None]:
-        """Hold every shard's index repair until the block ends."""
-        with ExitStack() as stack:
-            for shard in self.engine.shards:
-                stack.enter_context(shard.mutator.batch())
+        """Hold every shard's index repair and commit until the outermost block ends.
+
+        Each changed shard then repairs its indexes once and commits once
+        (one ``data_version`` bump, one plan-cache clear), even when the
+        block raises, so no shard is left with a stale version.
+        """
+        if self._changed is not None:
             yield
+            return
+        self._changed = set()
+        try:
+            with ExitStack() as stack:
+                for shard in self.engine.shards:
+                    stack.enter_context(shard.mutator.batch())
+                yield
+        finally:
+            changed, self._changed = self._changed, None
+            for shard in sorted(changed):
+                self.engine.shards[shard]._commit(True)
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -106,17 +124,30 @@ class ClusterMutator:
         neighbors = self.engine.shards[home].data.graph.neighbors(vertex)
         return {self.engine.owner[n] for n in neighbors} - {home}
 
+    def _apply(self, shard: int, triple: Triple, insert: bool) -> bool:
+        """Insert or delete ``triple`` in one shard; True when it changed there."""
+        mutator = self.engine.shards[shard].mutator
+        changed = (mutator.insert_triples if insert else mutator.delete_triples)((triple,)) == 1
+        if changed:
+            self._changed.add(shard)
+        return changed
+
+    def _set_attributes(self, shard: int, vertex: int, attributes, present: bool) -> None:
+        """Add or drop attribute ids of a vertex replicated in ``shard``."""
+        if self.engine.shards[shard].mutator.set_attributes(vertex, attributes, present):
+            self._changed.add(shard)
+
     def _replicate_attributes(self, vertex: int, shard: int) -> None:
         """Copy ``vertex``'s attribute set from its owner into ``shard``."""
         home = self.engine.owner[vertex]
         if home != shard:
             attributes = self.engine.shards[home].data.graph.attributes(vertex)
-            self.engine.shards[shard].mutator.set_attributes(vertex, attributes, present=True)
+            self._set_attributes(shard, vertex, attributes, present=True)
 
     def _strip_halo(self, vertex: int, shard: int) -> None:
         """Drop the replicated attributes of a halo vertex that lost its last edge."""
-        target = self.engine.shards[shard]
-        target.mutator.set_attributes(vertex, target.data.graph.attributes(vertex), present=False)
+        attributes = self.engine.shards[shard].data.graph.attributes(vertex)
+        self._set_attributes(shard, vertex, attributes, present=False)
 
     # ------------------------------------------------------------------ #
     # triple-level primitives
@@ -126,13 +157,12 @@ class ClusterMutator:
         home = self._owner_of(triple.subject, create=insert)
         if home is None:
             return False
-        owner = self.engine.shards[home]
-        if (owner.insert_triples if insert else owner.delete_triples)((triple,)) != 1:
+        if not self._apply(home, triple, insert):
             return False
         vertex = self._dictionaries.vertices.get(triple.subject)
         attribute = self._dictionaries.attributes.get(key)
         for shard in sorted(self._halo_shards(vertex)):
-            self.engine.shards[shard].mutator.set_attributes(vertex, (attribute,), present=insert)
+            self._set_attributes(shard, vertex, (attribute,), present=insert)
         self.engine.data.triple_count += 1 if insert else -1
         return True
 
@@ -159,7 +189,7 @@ class ClusterMutator:
                 for vertex in (subject_id, object_id)
                 if engine.owner[vertex] != shard and not target.data.graph.neighbors(vertex)
             ]
-            changed = target.insert_triples((triple,)) == 1
+            changed = self._apply(shard, triple, insert=True)
             if shard == subject_home:
                 inserted = changed
             for vertex in halo_new:
@@ -183,7 +213,7 @@ class ClusterMutator:
         deleted = False
         for shard in sorted({subject_home, object_home}):
             target = engine.shards[shard]
-            changed = target.delete_triples((triple,)) == 1
+            changed = self._apply(shard, triple, insert=False)
             if shard == subject_home:
                 deleted = changed
             for vertex in (subject_id, object_id):

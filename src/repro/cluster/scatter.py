@@ -84,8 +84,8 @@ class StarMatch:
 def plan_stars(qgraph: QueryMultigraph, component: set[int]) -> list[StarQuery]:
     """Cover one connected component with star subqueries.
 
-    The plan is deterministic (sorted traversals only) so every shard and
-    worker process derives the identical decomposition from the query text.
+    The plan is deterministic (sorted traversals only): the same query
+    text always yields the same decomposition.
     """
     vertices = sorted(component)
     degree = {u: qgraph.degree(u) for u in vertices}

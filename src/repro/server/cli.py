@@ -84,19 +84,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        help="worker-pool size for per-shard star matching "
-        "(default: min(shards, cpu count))",
-    )
-    parser.add_argument(
-        "--shard-executor",
-        choices=("thread", "process", "serial"),
-        default="thread",
-        help="worker pool kind for the cluster engine (default: %(default)s)",
-    )
-    parser.add_argument(
         "--match-backend",
         choices=BACKEND_CHOICES,
         default="vectorized",
@@ -140,7 +127,7 @@ def build_service(args: argparse.Namespace) -> EngineService:
 
     ``--shards N`` (N > 1) re-partitions a single-engine dataset into the
     scatter–gather cluster engine; a sharded snapshot directory is loaded
-    with its persisted shard count and only picks up the worker settings.
+    with its persisted shard count.
     """
     shards = getattr(args, "shards", 1)
     backend = getattr(args, "match_backend", None)
@@ -149,19 +136,10 @@ def build_service(args: argparse.Namespace) -> EngineService:
         # Partitioning indexes per shard; loading only the data multigraph
         # skips the whole-graph index build that would be thrown away.
         data, data_version = load_data_auto(dataset)
-        engine = ShardedEngine.build(
-            data,
-            shards,
-            workers=args.shard_workers,
-            executor=args.shard_executor,
-            backend=backend,
-        )
+        engine = ShardedEngine.build(data, shards, backend=backend)
         engine.data_version = data_version
     else:
         engine = load_engine_auto(dataset)
-        if isinstance(engine, ShardedEngine):
-            engine.workers = args.shard_workers or engine.workers
-            engine.executor = args.shard_executor
         # Re-resolving covers loaded snapshots too.
         engine.match_backend = backend
     config = ServiceConfig(

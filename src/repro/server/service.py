@@ -693,8 +693,6 @@ class EngineService:
             if hasattr(self.engine, "shard_stats"):
                 cluster = {
                     "shards": self.engine.shard_count,
-                    "workers": self.engine.workers,
-                    "executor": self.engine.executor,
                     "per_shard": self.engine.shard_stats(),
                 }
             planner = getattr(self.engine, "planner", None)

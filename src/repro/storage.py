@@ -349,12 +349,7 @@ def save_sharded_engine(engine, directory: str | Path) -> int:
     return total + manifest_path.stat().st_size
 
 
-def load_sharded_engine(
-    path: str | Path,
-    config: MatcherConfig | None = None,
-    workers: int | None = None,
-    executor: str = "thread",
-):
+def load_sharded_engine(path: str | Path, config: MatcherConfig | None = None):
     """Load a sharded snapshot directory (or its manifest file) written by
     :func:`save_sharded_engine` and rebuild every shard's index ensemble."""
     from .cluster.engine import ShardedEngine
@@ -398,14 +393,7 @@ def load_sharded_engine(
         raise StorageError("manifest shard count disagrees with the shard file list")
 
     owner = {vertex: int(shard) for vertex, shard in enumerate(manifest["owners"])}
-    sharded = ShardedEngine(
-        engines,
-        owner,
-        int(manifest.get("triple_count", 0)),
-        config=config,
-        workers=workers,
-        executor=executor,
-    )
+    sharded = ShardedEngine(engines, owner, int(manifest.get("triple_count", 0)), config=config)
     sharded.data_version = int(manifest.get("data_version", 0))
     return sharded
 

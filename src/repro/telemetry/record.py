@@ -17,10 +17,9 @@ read per instrumentation point.  The matchers' hot loops do not even pay
 that: they look the record up once per match call, tally counters in a
 local dict and write the tally with one :meth:`QueryRecord.add` at the end.
 
-Worker threads and processes do not inherit the thread local.  The cluster
-scatter stage matches each shard under its *own* record and ships back a
-:class:`ShardRecord` — the shard's seconds and counter dict, plain data
-that pickles across process pools — which the gather loop folds in with
+The cluster scatter stage matches each shard under its *own* nested
+record and turns it into a :class:`ShardRecord` — the shard's seconds and
+counter dict — which the gather loop folds in with
 :meth:`QueryRecord.absorb`: the shard becomes a ``cluster.scatter.shard``
 span and, for every counter any shard reports, the request total is the
 exact sum of the per-shard sub-records.
@@ -85,7 +84,7 @@ class SpanRecord:
 
 @dataclass
 class ShardRecord:
-    """One shard's share of a query, as shipped back from a scatter worker."""
+    """One shard's share of a query: the seconds and counters of its match."""
 
     shard: int
     seconds: float = 0.0
@@ -214,7 +213,7 @@ class QueryRecord:
             self.add(shard.counters)
 
     def as_shard(self, shard: int) -> ShardRecord:
-        """This (worker-side) record as the plain data a shard ships back."""
+        """This (shard-side) record as the plain data the request absorbs."""
         return ShardRecord(shard, self.root.seconds, self.counters)
 
     # ------------------------------------------------------------------ #

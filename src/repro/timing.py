@@ -37,9 +37,3 @@ class Deadline:
     def expired(self) -> bool:
         """Return True when the deadline has passed (without raising)."""
         return self._expires_at is not None and time.perf_counter() > self._expires_at
-
-    def remaining(self) -> float | None:
-        """Return the remaining seconds, or None for an unbounded deadline."""
-        if self._expires_at is None:
-            return None
-        return max(0.0, self._expires_at - time.perf_counter())

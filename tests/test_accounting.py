@@ -4,7 +4,7 @@ Covers the counter half of :class:`repro.telemetry.QueryRecord`, the
 engine's ``analyze`` execute mode (estimated *and* actual rows on every
 plan operator), backend parity of the plan tree shape, the scalar-fallback
 counter, and the per-shard sub-record rollup invariant on the cluster
-engine under every executor.
+engine at several shard counts.
 """
 
 from __future__ import annotations
@@ -262,26 +262,24 @@ class TestBackendParity:
 
 @pytest.mark.cluster
 class TestShardRollup:
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
-    def test_shard_subrecords_roll_up(self, paper_engine, executor):
-        with ShardedEngine.build(
-            paper_engine.data, 2, executor=executor, workers=2
-        ) as sharded:
-            payload = sharded.execute(OPTIONAL_QUERY, mode="analyze").plan
-            assert payload["rows"] == len(paper_engine.query(OPTIONAL_QUERY))
-            profile = payload["profile"]
-            shards = profile.get("shards", {})
-            assert shards, f"no per-shard sub-records under the {executor} executor"
-            names = {name for sub in shards.values() for name in sub}
-            assert names, "shard sub-records recorded no counters"
-            for name in names:
-                total = sum(sub.get(name, 0) for sub in shards.values())
-                assert profile["counters"][name] == total, (
-                    f"rollup broken for {name!r} under {executor}"
-                )
+    @pytest.mark.parametrize("shard_count", (1, 2, 3))
+    def test_shard_subrecords_roll_up(self, paper_engine, shard_count):
+        sharded = ShardedEngine.build(paper_engine.data, shard_count)
+        payload = sharded.execute(OPTIONAL_QUERY, mode="analyze").plan
+        assert payload["rows"] == len(paper_engine.query(OPTIONAL_QUERY))
+        profile = payload["profile"]
+        shards = profile.get("shards", {})
+        assert shards, f"no per-shard sub-records with {shard_count} shards"
+        names = {name for sub in shards.values() for name in sub}
+        assert names, "shard sub-records recorded no counters"
+        for name in names:
+            total = sum(sub.get(name, 0) for sub in shards.values())
+            assert profile["counters"][name] == total, (
+                f"rollup broken for {name!r} with {shard_count} shards"
+            )
 
     def test_sharded_estimates_sum_over_shards(self, paper_engine):
-        with ShardedEngine.build(paper_engine.data, 2, executor="serial") as sharded:
+        with ShardedEngine.build(paper_engine.data, 2) as sharded:
             sharded_payload = sharded.execute(BGP_QUERY, mode="analyze").plan
         assert sharded_payload["plan"]["estimated_rows"] >= 1
         assert sharded_payload["plan"]["actual_rows"] == len(paper_engine.query(BGP_QUERY))

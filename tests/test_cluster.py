@@ -3,11 +3,12 @@
 The contract under test everywhere: a :class:`ShardedEngine` is
 indistinguishable from a single :class:`AmberEngine` on the same triple
 set — identical result multisets, counts and statistics — for any shard
-count, executor, mutation history and persistence round trip.
+count, mutation history and persistence round trip.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import pytest
@@ -153,13 +154,13 @@ class TestStarPlanning:
 class TestQueryParity:
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
     def test_paper_dataset_parity(self, paper_engine, paper_queries, shards):
-        sharded = ShardedEngine.build(paper_engine.data, shards, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, shards)
         assert_equivalent(paper_engine, sharded, paper_queries)
 
     def test_workload_parity_on_lubm(self):
         store = LubmGenerator(scale=1, students_per_department=10, seed=3).store()
         single = AmberEngine.from_store(store)
-        sharded = ShardedEngine.build(single.data, 3, executor="serial")
+        sharded = ShardedEngine.build(single.data, 3)
         generator = WorkloadGenerator(store, seed=11)
         queries = [
             item.query
@@ -168,48 +169,32 @@ class TestQueryParity:
         ]
         assert_equivalent(single, sharded, queries)
 
-    def test_thread_executor_matches_serial(self, paper_engine, paper_queries):
-        with ShardedEngine.build(paper_engine.data, 3, executor="thread", workers=3) as sharded:
+    def test_queries_start_no_shard_threads(self, paper_engine, paper_queries):
+        """Shards match on the request's thread: a query starts no thread."""
+        before = set(threading.enumerate())
+        with ShardedEngine.build(paper_engine.data, 3) as sharded:
             assert_equivalent(paper_engine, sharded, paper_queries)
+            started = set(threading.enumerate()) - before
+        assert not started, sorted(thread.name for thread in started)
 
     def test_timeout_raises_query_timeout(self, paper_engine, prefixes):
         from repro import QueryTimeout
 
-        sharded = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, 2)
         query = prefixes + "SELECT ?x ?y WHERE { ?x y:isPartOf ?y . }"
         with pytest.raises(QueryTimeout):
             sharded.query(query, timeout_seconds=-1.0)
 
     def test_max_solutions_caps_rows(self, paper_engine, prefixes):
-        sharded = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, 2)
         query = prefixes + "SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . }"
         assert len(sharded.query(query, max_solutions=1)) == 1
 
     def test_limit_returns_requested_rows(self, paper_engine, prefixes):
-        sharded = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, 2)
         query = prefixes + "SELECT ?p WHERE { ?p y:wasBornIn ?c . } LIMIT 1"
         assert len(sharded.query(query)) == 1
         assert sharded.count(query) == paper_engine.count(query) == 1
-
-
-class TestProcessExecutor:
-    def test_process_pool_parity_and_invalidation(self, paper_engine, prefixes):
-        queries = [
-            prefixes + "SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . }",
-            prefixes + "SELECT ?x ?y WHERE { ?x y:isPartOf ?y . }",
-        ]
-        with ShardedEngine.build(paper_engine.data, 2, executor="process", workers=2) as sharded:
-            for query in queries:
-                assert multiset(paper_engine, query) == multiset(sharded, query)
-            # A mutation must invalidate the worker pool, not serve stale shards.
-            update = (
-                "PREFIX x: <http://dbpedia.org/resource/> "
-                "PREFIX y: <http://dbpedia.org/ontology/> "
-                "INSERT DATA { x:Roma y:isPartOf x:Italy . }"
-            )
-            assert sharded.apply_update(update).inserted == 1
-            rows = multiset(sharded, prefixes + "SELECT ?x WHERE { ?x y:isPartOf x:Italy . }")
-            assert sum(rows.values()) == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -228,9 +213,7 @@ class TestMutationParity:
 
     def _pair(self, paper_turtle, shards=3):
         single = AmberEngine.from_turtle(paper_turtle)
-        sharded = ShardedEngine.build(
-            AmberEngine.from_turtle(paper_turtle).data, shards, executor="serial"
-        )
+        sharded = ShardedEngine.build(AmberEngine.from_turtle(paper_turtle).data, shards)
         return single, sharded
 
     def test_update_counts_and_results_match(self, paper_turtle, paper_queries):
@@ -287,7 +270,7 @@ class TestMutationParity:
             Triple(IRI(f"{E}e1"), IRI(f"{E}name"), Literal("x")),
         ]
         single = AmberEngine.from_triples(triples)
-        sharded = ShardedEngine.build(AmberEngine.from_triples(triples).data, 2, executor="serial")
+        sharded = ShardedEngine.build(AmberEngine.from_triples(triples).data, 2)
         edge = triples[0]
         for engine in (single, sharded):
             assert engine.delete_triples([edge]) == 1
@@ -314,7 +297,7 @@ class TestMutationParity:
         """Routing is per triple, but each shard's A is copied once per call."""
         base = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}p"), IRI(f"{E}v{i + 1}")) for i in range(20)]
         single = AmberEngine.from_triples(base)
-        sharded = ShardedEngine.build(AmberEngine.from_triples(base).data, 2, executor="serial")
+        sharded = ShardedEngine.build(AmberEngine.from_triples(base).data, 2)
         bulk = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}name"), Literal(f"n{i % 4}")) for i in range(21)]
         bulk += [Triple(IRI(f"{E}v{i}"), IRI(f"{E}q"), IRI(f"{E}w{i}")) for i in range(0, 21, 3)]
         assert single.insert_triples(bulk) == len(bulk)
@@ -329,6 +312,26 @@ class TestMutationParity:
             assert_indexes_exact(shard)
         query = f'SELECT ?x ?y WHERE {{ ?x <{E}p> ?y . ?y <{E}name> "n1" . ?x <{E}q> ?z . }}'
         assert multiset(single, query) == multiset(sharded, query)
+
+    def test_each_changed_shard_commits_once_per_call(self):
+        """Routing is per triple, but a shard's data_version moves once per call."""
+        base = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}p"), IRI(f"{E}v{i + 1}")) for i in range(20)]
+        sharded = ShardedEngine.build(AmberEngine.from_triples(base).data, 2)
+        bulk = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}name"), Literal(f"n{i}")) for i in range(21)]
+        bulk += [Triple(IRI(f"{E}v{i}"), IRI(f"{E}q"), IRI(f"{E}w{i}")) for i in range(21)]
+        assert sharded.insert_triples(bulk + base) == len(bulk)
+        assert sharded.data_version == 1
+        assert [shard.data_version for shard in sharded.shards] == [1, 1]
+        update = (
+            f'DELETE DATA {{ <{E}v3> <{E}name> "n3" . <{E}v4> <{E}q> <{E}w4> }} ; '
+            f"INSERT DATA {{ <{E}v5> <{E}q> <{E}w6> }}"
+        )
+        assert sharded.apply_update(update).changed
+        assert sharded.data_version == 2
+        assert all(shard.data_version <= 2 for shard in sharded.shards)
+        assert sharded.insert_triples(base) == 0
+        assert sharded.data_version == 2
+        assert all(shard.data_version <= 2 for shard in sharded.shards)
 
     def test_failing_load_leaves_all_shards_untouched(self, paper_turtle, tmp_path):
         _, sharded = self._pair(paper_turtle)
@@ -351,7 +354,7 @@ class TestMutationParity:
 class TestShardedStorage:
     def test_snapshot_round_trip(self, paper_turtle, paper_queries, tmp_path):
         single = AmberEngine.from_turtle(paper_turtle)
-        sharded = ShardedEngine.build(single.data, 3, executor="serial")
+        sharded = ShardedEngine.build(single.data, 3)
         sharded.apply_update(
             "PREFIX x: <http://dbpedia.org/resource/> "
             "PREFIX y: <http://dbpedia.org/ontology/> "
@@ -369,7 +372,9 @@ class TestShardedStorage:
         assert loaded.shard_count == 3
         assert loaded.data_version == sharded.data_version == 1
         assert loaded.owner == sharded.owner
-        loaded.executor = "serial"
+        versions = [shard.data_version for shard in sharded.shards]
+        assert [shard.data_version for shard in loaded.shards] == versions
+        assert set(versions) == {0, 1}
         assert_equivalent(single, loaded, paper_queries)
 
 
@@ -378,12 +383,12 @@ class TestShardedStorage:
 # --------------------------------------------------------------------------- #
 class TestServiceIntegration:
     def test_stats_reports_per_shard_fields(self, paper_engine):
-        sharded = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, 2)
         service = EngineService(sharded, ServiceConfig())
         stats = service.stats()
         cluster = stats["cluster"]
         assert cluster["shards"] == 2
-        assert cluster["executor"] == "serial"
+        assert set(cluster) == {"shards", "per_shard"}
         assert len(cluster["per_shard"]) == 2
         expected_keys = {"shard", "owned_vertices", "vertices", "edges", "triples", "data_version"}
         for entry in cluster["per_shard"]:
@@ -396,7 +401,7 @@ class TestServiceIntegration:
         assert service.stats()["cluster"] is None
 
     def test_service_query_and_update_through_sharded_engine(self, paper_engine, prefixes):
-        sharded = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, 2)
         service = EngineService(sharded, ServiceConfig())
         update = (
             "PREFIX x: <http://dbpedia.org/resource/> "
@@ -411,13 +416,16 @@ class TestServiceIntegration:
     def test_cli_builds_sharded_service(self, paper_turtle, tmp_path):
         dataset = tmp_path / "paper.ttl"
         dataset.write_text(paper_turtle, encoding="utf-8")
-        args = build_arg_parser().parse_args(
-            [str(dataset), "--shards", "2", "--shard-workers", "2"]
-        )
+        args = build_arg_parser().parse_args([str(dataset), "--shards", "2"])
         service = build_service(args)
         assert isinstance(service.engine, ShardedEngine)
         assert service.engine.shard_count == 2
-        assert service.engine.workers == 2
+
+    def test_cli_has_no_shard_pool_options(self):
+        """Shards match on the request thread; there is no pool to size or pick."""
+        for flag in ("--shard-workers=2", "--shard-executor=serial"):
+            with pytest.raises(SystemExit):
+                build_arg_parser().parse_args(["data.nt", "--shards", "2", flag])
 
     def test_cli_defaults_stay_single_engine(self, paper_turtle, tmp_path):
         dataset = tmp_path / "paper.ttl"
@@ -441,11 +449,10 @@ class TestServiceIntegration:
         assert service.engine.data_version == engine.data_version == 1
 
     def test_cli_loads_sharded_snapshot(self, paper_engine, tmp_path):
-        sharded = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        sharded = ShardedEngine.build(paper_engine.data, 2)
         directory = tmp_path / "snap"
         save_engine(sharded, directory)
-        args = build_arg_parser().parse_args([str(directory), "--shard-workers", "2"])
+        args = build_arg_parser().parse_args([str(directory)])
         service = build_service(args)
         assert isinstance(service.engine, ShardedEngine)
         assert service.engine.shard_count == 2
-        assert service.engine.workers == 2

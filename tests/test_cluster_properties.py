@@ -81,8 +81,7 @@ def test_sharded_engine_tracks_single_engine(initial, ops):
     """Any graph/update interleaving keeps the cluster equal to one engine."""
     single = AmberEngine.from_triples(dict.fromkeys(initial))
     sharded = ShardedEngine.from_sharded_data(
-        partition_data(AmberEngine.from_triples(dict.fromkeys(initial)).data, SHARD_COUNT),
-        executor="serial",
+        partition_data(AmberEngine.from_triples(dict.fromkeys(initial)).data, SHARD_COUNT)
     )
 
     shadow = set(initial)

@@ -131,6 +131,28 @@ class TestOrdering:
         with pytest.raises(ValueError):
             order_core_vertices(qgraph, decomposition, strategy="alphabetical")
 
+    def test_order_probes_each_vertex_neighbourhood_once_per_step(
+        self, paper_data, prefixes, monkeypatch
+    ):
+        """The frontier test builds one neighbour set per remaining vertex per step."""
+        predicates = ["isPartOf", "livedIn", "hasCapital", "wasBornIn"] * 2
+        edges = [f"?v{i} y:{p} ?v{(i + 1) % 8} ." for i, p in enumerate(predicates)]
+        ring = "SELECT * WHERE { " + " ".join(edges) + " ?v0 y:diedIn ?v1 . ?v4 y:diedIn ?v5 . }"
+        qgraph = qgraph_for(ring, paper_data, prefixes)
+        decomposition = decompose_query(qgraph)
+        core = len(decomposition.core)
+        assert core == 8
+        calls = []
+        neighbors = type(qgraph.graph).neighbors
+        monkeypatch.setattr(
+            type(qgraph.graph),
+            "neighbors",
+            lambda graph, vertex: calls.append(vertex) or neighbors(graph, vertex),
+        )
+        ordered = order_core_vertices(qgraph, decomposition)
+        assert len(calls) <= core * (core - 1) // 2
+        assert [qgraph.variable_of(u).name for u in ordered] == [f"v{i}" for i in range(8)]
+
     def test_single_core_ordering(self, paper_data, prefixes):
         qgraph = qgraph_for("SELECT * WHERE { ?a y:wasBornIn ?b . }", paper_data, prefixes)
         decomposition = decompose_query(qgraph)

@@ -376,8 +376,8 @@ def _build_engines(store: TripleStore, backend: str = "scalar"):
     return [
         NestedLoopEngine(store),
         AmberEngine.from_store(store, backend=backend),
-        ShardedEngine.build(data, 2, executor="serial", backend=backend),
-        ShardedEngine.build(data, 3, executor="serial", backend=backend),
+        ShardedEngine.build(data, 2, backend=backend),
+        ShardedEngine.build(data, 3, backend=backend),
     ]
 
 

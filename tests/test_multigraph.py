@@ -94,23 +94,3 @@ class TestCountsAndStats:
         assert stats["edges"] == 1
         assert stats["edge_types"] == 1
         assert stats["attributed_vertices"] == 1
-
-
-class TestSubgraph:
-    def test_induced_subgraph(self):
-        g = Multigraph()
-        g.add_edge(0, 1, 0)
-        g.add_edge(1, 2, 1)
-        g.add_edge(2, 0, 2)
-        g.add_attribute(1, 9)
-        sub = g.subgraph({0, 1})
-        assert sub.vertex_count() == 2
-        assert sub.has_edge(0, 1, 0)
-        assert not sub.has_edge(1, 2, 1)
-        assert sub.attributes(1) == frozenset({9})
-
-    def test_subgraph_with_missing_vertices(self):
-        g = Multigraph()
-        g.add_edge(0, 1, 0)
-        sub = g.subgraph({0, 42})
-        assert sub.vertex_count() == 1

@@ -414,9 +414,7 @@ _ENGINE_BUILDERS = [
         id="amber-vectorized",
     ),
     pytest.param(
-        lambda: ShardedEngine.build(
-            build_data_multigraph(_differential_store()), 2, executor="serial"
-        ),
+        lambda: ShardedEngine.build(build_data_multigraph(_differential_store()), 2),
         id="cluster-2",
     ),
     pytest.param(

@@ -138,7 +138,7 @@ class TestMetricsEndpoint:
             thread.join(timeout=5)
 
     def test_sharded_engine_reports_per_shard_scatter_timings(self, paper_engine):
-        engine = ShardedEngine.build(paper_engine.data, 2, executor="serial")
+        engine = ShardedEngine.build(paper_engine.data, 2)
         service = EngineService(engine, ServiceConfig(plan_cache_size=8, result_cache_size=0))
         try:
             service.execute(QUERY)

@@ -21,7 +21,6 @@ class TestDeadline:
         deadline = Deadline(None)
         deadline.check()
         assert not deadline.expired
-        assert deadline.remaining() is None
 
     def test_expired_deadline_raises(self):
         deadline = Deadline(0.0)
@@ -29,14 +28,6 @@ class TestDeadline:
         assert deadline.expired
         with pytest.raises(QueryTimeout):
             deadline.check()
-
-    def test_remaining_decreases(self):
-        deadline = Deadline(10.0)
-        first = deadline.remaining()
-        time.sleep(0.001)
-        second = deadline.remaining()
-        assert first is not None and second is not None
-        assert second <= first <= 10.0
 
     def test_error_hierarchy(self):
         assert issubclass(QueryTimeout, ReproError)
