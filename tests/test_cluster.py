@@ -177,6 +177,14 @@ class TestQueryParity:
             started = set(threading.enumerate()) - before
         assert not started, sorted(thread.name for thread in started)
 
+    def test_close_is_a_no_op(self, paper_engine, paper_queries):
+        """close() releases nothing, so the engine answers after it and after ``with``."""
+        with ShardedEngine.build(paper_engine.data, 2) as sharded:
+            pass
+        sharded.close()
+        sharded.close()
+        assert_equivalent(paper_engine, sharded, paper_queries)
+
     def test_timeout_raises_query_timeout(self, paper_engine, prefixes):
         from repro import QueryTimeout
 
@@ -376,6 +384,29 @@ class TestShardedStorage:
         assert [shard.data_version for shard in loaded.shards] == versions
         assert set(versions) == {0, 1}
         assert_equivalent(single, loaded, paper_queries)
+
+    def test_bulk_insert_versions_round_trip(self, tmp_path):
+        """One bulk call leaves every changed shard at version 1, and a snapshot keeps it."""
+        base = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}p"), IRI(f"{E}v{i + 1}")) for i in range(20)]
+        single = AmberEngine.from_triples(base)
+        sharded = ShardedEngine.build(single.data, 2)
+        bulk = [Triple(IRI(f"{E}v{i}"), IRI(f"{E}name"), Literal(f"n{i}")) for i in range(21)]
+        bulk += [Triple(IRI(f"{E}v{i}"), IRI(f"{E}q"), IRI(f"{E}w{i}")) for i in range(21)]
+        assert sharded.insert_triples(bulk) == single.insert_triples(bulk) == len(bulk)
+        assert [shard.data_version for shard in sharded.shards] == [1, 1]
+        directory = tmp_path / "snapshot"
+        save_engine(sharded, directory)
+        loaded = load_engine_auto(directory)
+        assert loaded.data_version == 1
+        assert [shard.data_version for shard in loaded.shards] == [1, 1]
+        assert_equivalent(
+            single,
+            loaded,
+            [
+                f"SELECT ?s ?n WHERE {{ ?s <{E}name> ?n . ?s <{E}q> ?w . }}",
+                f"SELECT ?s ?o WHERE {{ ?s <{E}p> ?o . ?o <{E}q> ?w . }}",
+            ],
+        )
 
 
 # --------------------------------------------------------------------------- #
