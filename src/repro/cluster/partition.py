@@ -105,14 +105,7 @@ def partition_data(
     shards = [DataMultigraph(dictionaries=data.dictionaries) for _ in range(shard_count)]
 
     for vertex in sorted(graph.vertices()):
-        shard = shards[owner[vertex]]
-        shard.graph.add_vertex(vertex)
-        for target, types in graph.out_neighbors(vertex).items():
-            for edge_type in sorted(types):
-                shard.graph.add_edge(vertex, target, edge_type)
-        for source, types in graph.in_neighbors(vertex).items():
-            for edge_type in sorted(types):
-                shard.graph.add_edge(source, vertex, edge_type)
+        shards[owner[vertex]].graph.copy_edges(graph, vertex)
 
     # Attributes: every vertex present in a shard (owned or halo) carries its
     # full attribute set, so leaf refinement stays exact shard-locally.

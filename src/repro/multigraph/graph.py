@@ -74,6 +74,16 @@ class Multigraph:
             del self._out[source][target]
             del self._in[target][source]
 
+    def copy_edges(self, other: Multigraph, vertex: int) -> None:
+        """Copy every edge incident on ``vertex`` in ``other``, sharing its label objects."""
+        self.add_vertex(vertex)
+        for target, label in other.out_neighbors(vertex).items():
+            self.add_vertex(target)
+            self._relabel(vertex, target, label)
+        for source, label in other.in_neighbors(vertex).items():
+            self.add_vertex(source)
+            self._relabel(source, vertex, label)
+
     def add_attribute(self, vertex: int, attribute: int) -> None:
         """Attach attribute id ``attribute`` to ``vertex`` (``LV``)."""
         self.add_vertex(vertex)

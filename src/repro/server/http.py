@@ -27,16 +27,25 @@ engine's SELECT/UPDATE fragments:
   a cluster engine);
 * ``GET /health`` is a trivial liveness probe.
 
-Requests run on a bounded worker pool (stdlib only); error mapping is
-parse/execution error -> 400, read-only rejection -> 403, query timeout /
-admission rejection -> 503.
+Requests run on a bounded worker pool over ``socketserver``, whose HTTP/1.1
+subset (keep-alive, ``Expect: 100-continue``, heads of at most 100 lines of
+64 KiB, ``Content-Length`` bodies up to 1 MiB) spares the process
+``http.server`` and with it ``http.client``, ``email`` and ``ssl``.  Error
+mapping is parse/execution error -> 400, read-only rejection -> 403, query
+timeout / admission rejection -> 503; a protocol error (400, 413, 414, 431,
+505, 501 for an unknown method or any ``Transfer-Encoding``) gets the same
+JSON body, then the connection closes.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socketserver
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -63,18 +72,118 @@ PROMETHEUS_MEDIA_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Upper bound on POST bodies; a query has no business being larger, and the
 #: body is buffered in memory before parsing, so the cap guards the process.
 MAX_REQUEST_BODY_BYTES = 1 << 20
+#: Caps on the request head, the ones ``http.server`` applies.
+MAX_LINE_BYTES = 1 << 16
+MAX_HEADERS = 100
+
+_VERSION = re.compile(r"HTTP/(\d{1,9})\.(\d{1,9})", re.ASCII)
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+#: Escapes control characters of a logged request line, as ``http.server`` does.
+_CONTROL_CHARS = str.maketrans({c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))})
 
 
-class SparqlRequestHandler(BaseHTTPRequestHandler):
-    """One HTTP request against the shared engine service."""
+def _http_date(timestamp: float) -> str:
+    """``timestamp`` as an IMF-fixdate (``Sun, 06 Nov 1994 08:49:37 GMT``), in any locale."""
+    t = time.gmtime(timestamp)
+    return time.strftime(f"{_DAYS[t.tm_wday]}, %d {_MONTHS[t.tm_mon - 1]} %Y %H:%M:%S GMT", t)
+
+
+class _Headers(dict):
+    """Request header fields under lower-cased names; ``get`` ignores case."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+class _ProtocolError(Exception):
+    """``(status, error, message)`` of a refused request: a JSON reply, then a close."""
+
+
+class SparqlRequestHandler(socketserver.StreamRequestHandler):
+    """One keep-alive HTTP connection against the shared engine service."""
 
     server_version = f"repro-sparql/{__version__}"
     protocol_version = "HTTP/1.1"
 
     # ------------------------------------------------------------------ #
+    # transport
+    # ------------------------------------------------------------------ #
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self.requestline = ""
+                try:
+                    if not self._read_request():
+                        return
+                except _ProtocolError as exc:
+                    self._send_error_json(*exc.args, connection="close")
+                    return
+                getattr(self, "do_" + self.command)()
+        except OSError:  # idle timeout, or the client went away
+            pass
+
+    def _read_request(self) -> bool:
+        """Read one request's head and body; False when the client closed first."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _ProtocolError(414, "URITooLong", f"request line over {MAX_LINE_BYTES} bytes")
+        self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            raise _ProtocolError(400, "BadRequest", f"bad request line {self.requestline!r}")
+        self.command, self.path, self.request_version = words
+        version = _VERSION.fullmatch(self.request_version)
+        if version is None:
+            raise _ProtocolError(400, "BadRequest", f"bad version {self.request_version!r}")
+        if int(version[1]) != 1:
+            raise _ProtocolError(505, "VersionNotSupported", f"{self.request_version} not served")
+        if self.path.startswith("//"):  # would read as a network location
+            self.path = "/" + self.path.lstrip("/")
+        self.headers = headers = _Headers()
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _ProtocolError(431, "HeaderTooLarge", f"header over {MAX_LINE_BYTES} bytes")
+            if not line:
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _ProtocolError(400, "BadRequest", f"malformed header {line[:80]!r}")
+            key, value = name.lower(), value.strip()
+            if headers.setdefault(key, value) != value and key == "content-length":
+                raise _ProtocolError(400, "BadRequest", "conflicting Content-Length headers")
+        else:
+            raise _ProtocolError(431, "HeaderTooLarge", f"more than {MAX_HEADERS} headers")
+        http10 = int(version[2]) == 0
+        tokens = {token.strip().lower() for token in headers.get("Connection", "").split(",")}
+        self.close_connection = "keep-alive" not in tokens if http10 else "close" in tokens
+        if not hasattr(self, "do_" + self.command):
+            raise _ProtocolError(501, "NotImplemented", f"method {self.command!r} not served")
+        if "transfer-encoding" in headers:
+            raise _ProtocolError(501, "NotImplemented", "Transfer-Encoding is not served")
+        length = headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _ProtocolError(400, "BadRequest", f"bad Content-Length {length!r}")
+        length = int(length)
+        if length > MAX_REQUEST_BODY_BYTES:
+            # Unread, the body would be misread as the next request.
+            message = f"request body of {length} bytes exceeds {MAX_REQUEST_BODY_BYTES} bytes"
+            raise _ProtocolError(413, "PayloadTooLarge", message)
+        if not http10 and headers.get("Expect", "").lower() == "100-continue":
+            self.wfile.write(f"{self.protocol_version} 100 Continue\r\n\r\n".encode("latin-1"))
+        self.body = self.rfile.read(length)
+        return len(self.body) == length
+
+    # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def do_GET(self) -> None:  # noqa: N802 - named after the method
         url = urlsplit(self.path)
         if url.path == "/sparql":
             self._handle_query(parse_qs(url.query))
@@ -93,44 +202,23 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         else:
             self._send_error_json(404, "NotFound", f"no handler for {url.path}")
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
+    def do_POST(self) -> None:  # noqa: N802 - named after the method
         url = urlsplit(self.path)
         if url.path == "/sparql":
-            params = self._read_post_params(url, raw_body_key="query")
-            if params is not None:
-                self._handle_query(params)
+            self._handle_query(self._read_post_params(url, raw_body_key="query"))
         elif url.path == "/update":
-            params = self._read_post_params(url, raw_body_key="update")
-            if params is not None:
-                self._handle_update(params)
+            self._handle_update(self._read_post_params(url, raw_body_key="update"))
         else:
             self._send_error_json(404, "NotFound", f"no handler for {url.path}")
 
-    def _read_post_params(self, url, raw_body_key: str) -> dict[str, list[str]] | None:
-        """Merge query-string and POST-body parameters; None after an error reply.
+    def _read_post_params(self, url, raw_body_key: str) -> dict[str, list[str]]:
+        """Merge query-string and POST-body parameters.
 
         A raw (non-form) body is the SPARQL protocol's "via POST directly"
         form: the whole body is the query or update text, stored under
         ``raw_body_key``.
         """
-        try:
-            # Clamp: a negative declared length would turn rfile.read() into
-            # a read-to-EOF that blocks a worker until the idle timeout.
-            length = max(0, int(self.headers.get("Content-Length", 0)))
-        except ValueError:
-            length = 0
-        if length > MAX_REQUEST_BODY_BYTES:
-            # The unread body would be misread as the next request on a
-            # kept-alive connection; drop the connection instead.
-            self.close_connection = True
-            self._send_error_json(
-                413,
-                "PayloadTooLarge",
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_REQUEST_BODY_BYTES}-byte limit",
-            )
-            return None
-        body = self.rfile.read(length).decode("utf-8", errors="replace") if length else ""
+        body = self.body.decode("utf-8", errors="replace")
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
         params = parse_qs(url.query)
         if content_type == "application/x-www-form-urlencoded":
@@ -150,8 +238,8 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "MissingQuery", "no 'query' parameter supplied")
             return
         try:
-            timeout = self._float_param(params, "timeout")
-            max_rows = self._int_param(params, "max_rows")
+            timeout = self._number_param(params, "timeout", float)
+            max_rows = self._number_param(params, "max_rows", int)
         except ValueError as exc:
             self._send_error_json(400, "BadParameter", str(exc))
             return
@@ -246,35 +334,31 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
     # parameter parsing
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _float_param(params: dict[str, list[str]], name: str) -> float | None:
+    def _number_param(params: dict[str, list[str]], name: str, kind: type) -> float | int | None:
         raw = (params.get(name) or [None])[0]
         if raw is None:
             return None
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            raise ValueError(f"parameter {name!r} must be a number, got {raw!r}") from None
-
-    @staticmethod
-    def _int_param(params: dict[str, list[str]], name: str) -> int | None:
-        raw = (params.get(name) or [None])[0]
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"parameter {name!r} must be an integer, got {raw!r}") from None
+            noun = "a number" if kind is float else "an integer"
+            raise ValueError(f"parameter {name!r} must be {noun}, got {raw!r}") from None
 
     # ------------------------------------------------------------------ #
     # response plumbing
     # ------------------------------------------------------------------ #
     def _send_body(self, status: int, payload: bytes, content_type: str, **headers: object) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in headers.items():
-            self.send_header(name.replace("_", "-").title(), str(value))
-        self.end_headers()
+        lines = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.server_version} Python/{sys.version.split()[0]}",
+            f"Date: {_http_date(time.time())}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(payload)}",
+        ]
+        lines += [f"{name.replace('_', '-').title()}: {value}" for name, value in headers.items()]
+        self.log_request(status)
+        # Head and body leave in two writes, as http.server sends them.
+        self.wfile.write("\r\n".join([*lines, "", ""]).encode("latin-1"))
         self.wfile.write(payload)
 
     def _send_json(self, status: int, document: dict, **headers: object) -> None:
@@ -282,23 +366,31 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         self._send_body(status, payload, "application/json; charset=utf-8", **headers)
 
     def _send_error_json(
-        self, status: int, error: str, message: str, retry_after: int | None = None
+        self, status: int, error: str, message: str, retry_after: int | None = None, **headers
     ) -> None:
-        headers = {"retry_after": retry_after} if retry_after is not None else {}
+        if retry_after is not None:
+            headers["retry_after"] = retry_after
         self._send_json(status, {"error": error, "message": message}, **headers)
 
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", False):
-            super().log_message(format, *args)
+    def log_request(self, status: int) -> None:
+        """One access-log line on stderr, in ``http.server``'s format."""
+        if self.server.quiet:
+            return
+        now = time.localtime()
+        stamp = time.strftime(f"%d/{_MONTHS[now.tm_mon - 1]}/%Y %H:%M:%S", now)
+        message = f'"{self.requestline}" {status} -'.translate(_CONTROL_CHARS)
+        sys.stderr.write(f"{self.client_address[0]} - - [{stamp}] {message}\n")
 
 
-class SparqlHTTPServer(HTTPServer):
+class SparqlHTTPServer(socketserver.TCPServer):
     """An HTTP server dispatching requests onto a bounded thread pool.
 
     Unlike ``ThreadingHTTPServer`` (one unbounded thread per connection) the
     pool keeps the worker count fixed; the service's admission control then
     bounds concurrent *evaluation* below that.
     """
+
+    allow_reuse_address = True
 
     def __init__(
         self,
@@ -317,7 +409,7 @@ class SparqlHTTPServer(HTTPServer):
     def process_request(self, request, client_address) -> None:
         # Bound reads on kept-alive connections: without a socket timeout an
         # idle HTTP/1.1 client would pin one pool worker forever; on expiry
-        # handle_one_request closes the connection and frees the worker.
+        # the handler's keep-alive loop ends and frees the worker.
         if self.idle_connection_timeout is not None:
             request.settimeout(self.idle_connection_timeout)
         self._executor.submit(self._work, request, client_address)

@@ -90,6 +90,18 @@ class TestPartition:
             assert local.out_neighbors(vertex) == graph.out_neighbors(vertex)
             assert local.in_neighbors(vertex) == graph.in_neighbors(vertex)
 
+    def test_owned_rows_share_the_whole_graphs_label_objects(self, paper_engine):
+        sharded = partition_data(paper_engine.data, 2)
+        graph = paper_engine.data.graph
+        for vertex, shard in sharded.owner.items():
+            local = sharded.shards[shard].graph
+            for mine, theirs in (
+                (local.out_neighbors(vertex), graph.out_neighbors(vertex)),
+                (local.in_neighbors(vertex), graph.in_neighbors(vertex)),
+            ):
+                assert list(mine.items()) == list(theirs.items())
+                assert all(mine[other] is label for other, label in theirs.items())
+
     def test_halo_vertices_carry_full_attribute_sets(self, paper_engine):
         sharded = partition_data(paper_engine.data, 3)
         graph = paper_engine.data.graph
